@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
-"""Multi-seed trend study: gated CNN fusion, frozen refiner, scale
-consistency, and box-transform supervision vs a naive full-box baseline.
-
-Trains four weak-phase variants per seed on single-object data plus a
-refiner, then evaluates on the held-out split and on a separate two-object
-dataset. Prints one table row per seed and the aggregate trend verdicts.
+"""Multi-seed trend study (`weakbox_kit.study`): gated CNN fusion, frozen
+refiner, scale consistency, and box-transform supervision vs a naive
+full-box baseline. Prints one row per seed and the aggregate verdicts.
 """
 
 import argparse
@@ -14,74 +11,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import numpy as np
-
-from weakbox_kit.checkpoint import load_checkpoint
-from weakbox_kit.config import RunConfig
-from weakbox_kit.pipeline import evaluate, split_dataset, train_refine, train_weak
-from weakbox_kit.synth import DatasetSpec, generate_dataset, load_dataset, save_dataset
-
-
-def make_dataset(spec, root, name):
-    out = os.path.join(root, name)
-    save_dataset(generate_dataset(spec), spec, out)
-    _, samples = load_dataset(out)
-    return out, samples
-
-
-def run_seed(seed, root, epochs, refine_epochs):
-    train_dir, samples = make_dataset(
-        DatasetSpec(count=80, size=64, n_objects_min=1, n_objects_max=1, shapes=("ellipse", "fused", "annulus"), noise=0.3, seed=1000 + seed),
-        root,
-        f"seed{seed}_train",
-    )
-    _, holdout = split_dataset(samples, 0.2)
-    _, multi = make_dataset(
-        DatasetSpec(count=24, size=64, n_objects_min=2, n_objects_max=2, shapes=("ellipse",), noise=0.3, seed=2000 + seed),
-        root,
-        f"seed{seed}_multi",
-    )
-
-    def weak(**kw):
-        cfg = RunConfig(phase="weak", epochs=epochs, batch_size=8, learning_rate=1e-3, dataset_dir=train_dir, seed=seed, **kw)
-        return cfg, train_weak(cfg)
-
-    cfg_full, full = weak()
-    _, enc = weak(use_cnn_gate=False)
-    _, nosc = weak(use_sc=False)
-    cfg_box, fullbox = weak(supervision="fullbox")
-
-    rcfg = RunConfig(
-        phase="refine",
-        epochs=refine_epochs,
-        batch_size=4,
-        learning_rate=2e-3,
-        dataset_dir=train_dir,
-        seed=seed,
-        refine_label_fraction=0.15,
-        checkpoint_out=os.path.join(root, f"seed{seed}_refine.ckpt"),
-    )
-    train_refine(rcfg)
-    load_checkpoint(rcfg.checkpoint_out).merge_into(full.params, "refine.", frozen=True)
-
-    _, m_full, gap_full = evaluate(cfg_full, full.params, holdout)
-    _, m_enc, _ = evaluate(cfg_full, enc.params, holdout)
-    _, m_nosc, gap_nosc = evaluate(cfg_full, nosc.params, holdout)
-    _, m_refined, _ = evaluate(cfg_full, full.params, holdout, use_refine=True)
-    _, m_multi, _ = evaluate(cfg_full, full.params, multi)
-    _, m_multi_box, _ = evaluate(cfg_box, fullbox.params, multi)
-
-    return {
-        "dsc_full": m_full["dsc"],
-        "dsc_enc": m_enc["dsc"],
-        "hd95_coarse": m_full["hd95"],
-        "dsc_refined": m_refined["dsc"],
-        "hd95_refined": m_refined["hd95"],
-        "gap_sc": gap_full,
-        "gap_nosc": gap_nosc,
-        "dsc_multi_mm2b": m_multi["dsc"],
-        "dsc_multi_fullbox": m_multi_box["dsc"],
-    }
+from weakbox_kit.study import format_row, run_seed, verdicts
 
 
 def main():
@@ -95,24 +25,15 @@ def main():
     root = args.workdir or tempfile.mkdtemp(prefix="weakbox_ablation_")
     rows = []
     for seed in range(args.seeds):
-        r = run_seed(seed, root, args.epochs, args.refine_epochs)
-        rows.append(r)
-        print(
-            f"seed {seed}: dsc full {r['dsc_full']:.3f} enc {r['dsc_enc']:.3f} | "
-            f"refined dsc {r['dsc_refined']:.3f} hd95 {r['hd95_refined']:.2f} (coarse {r['hd95_coarse']:.2f}) | "
-            f"gap sc {r['gap_sc']:.4f} nosc {r['gap_nosc']:.4f} | "
-            f"multi mm2b {r['dsc_multi_mm2b']:.3f} fullbox {r['dsc_multi_fullbox']:.3f}"
-        )
+        rows.append(run_seed(seed, root, args.epochs, args.refine_epochs))
+        print(format_row(rows[-1]))
 
     n = len(rows)
-    gate_wins = sum(r["dsc_full"] >= r["dsc_enc"] for r in rows)
-    refine_wins = sum(r["hd95_refined"] < r["hd95_coarse"] and r["dsc_refined"] >= r["dsc_full"] for r in rows)
-    sc_wins = sum(r["gap_sc"] < r["gap_nosc"] for r in rows)
-    margin = float(np.mean([r["dsc_multi_mm2b"] for r in rows]) - np.mean([r["dsc_multi_fullbox"] for r in rows]))
-    print(f"\ncnn+gate does not reduce dsc: {gate_wins}/{n} seeds")
-    print(f"refiner lowers hd95 without dsc loss: {refine_wins}/{n} seeds")
-    print(f"sc loss lowers in-box scale gap: {sc_wins}/{n} seeds")
-    print(f"multi-object dsc margin (mm2b - fullbox): {margin:+.3f}")
+    v = verdicts(rows)
+    print(f"\ncnn+gate does not reduce dsc: {v['gate_wins']}/{n} seeds")
+    print(f"refiner lowers hd95 without dsc loss: {v['refine_wins']}/{n} seeds")
+    print(f"sc loss lowers in-box scale gap: {v['sc_wins']}/{n} seeds")
+    print(f"multi-object dsc margin (mm2b - fullbox): {v['multi_margin']:+.3f}")
 
 
 if __name__ == "__main__":

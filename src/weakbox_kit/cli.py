@@ -4,6 +4,7 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -11,14 +12,14 @@ import sys
 import numpy as np
 
 from .boxes import EmptyMaskError, box_coords, mask_to_box
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError
 from .config import load_run_config
 from .gradcheck import run_gradcheck
 from .kvcfg import parse_kv_file
 from .pgm import PgmError, read_pgm, write_pgm
-from .pipeline import NumericError, evaluate, net_config, predict_batch, split_dataset, train_refine, train_weak
+from .pipeline import NumericError, evaluate, has_refine, load_model, net_config, predict_batch, split_dataset, train_refine, train_weak
 from .reports import write_metrics_report
-from .synth import DatasetSpec, generate_dataset, load_dataset, save_dataset, spec_from_kv
+from .synth import generate_dataset, load_dataset, save_dataset, spec_from_kv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,7 +94,7 @@ def _write_json(path, obj):
 def _cmd_synth_gen(args):
     spec = spec_from_kv(parse_kv_file(args.config))
     if args.seed is not None:
-        spec = DatasetSpec(**{**{f: getattr(spec, f) for f in ("count", "size", "n_objects_min", "n_objects_max", "shapes", "noise")}, "seed": args.seed})
+        spec = dataclasses.replace(spec, seed=args.seed)
     samples = generate_dataset(spec)
     save_dataset(samples, spec, args.out)
     print(f"wrote {spec.count} samples to {args.out}")
@@ -136,11 +137,8 @@ def _cmd_train(args, phase):
 
 def _cmd_infer(args):
     cfg = load_run_config(args.config, {})
-    ck = load_checkpoint(args.checkpoint)
-    params = ck.build_params()
-    if cfg.refine_checkpoint:
-        load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
-    use_refine = "refine.out.w" in params.tensors
+    params = load_model(args.checkpoint, cfg)
+    use_refine = has_refine(params)
     os.makedirs(args.out, exist_ok=True)
     ncfg = net_config(cfg)
     for path in args.images:
@@ -158,10 +156,7 @@ def _cmd_infer(args):
 
 def _cmd_eval(args):
     cfg = load_run_config(args.config, {})
-    ck = load_checkpoint(args.checkpoint)
-    params = ck.build_params()
-    if cfg.refine_checkpoint:
-        load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
+    params = load_model(args.checkpoint, cfg)
     _, samples = load_dataset(cfg.dataset_dir)
     base = 0
     if args.split != "all":

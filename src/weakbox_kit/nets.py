@@ -158,7 +158,7 @@ def _res_block(params, name, x, training):
     return T.add(main, x)
 
 
-def global_encoder_forward(params, image, _training=False):
+def global_encoder_forward(params, image):
     """Frozen wide-receptive-field stub: strided convs then a dilated conv."""
     h = T.relu(_conv(params, "encoder.conv1", image, stride=2, pad=1))
     h = T.relu(_conv(params, "encoder.conv2", h, stride=2, pad=1))
@@ -204,7 +204,7 @@ def prompt_channel(coords_list, batch, feat_h, feat_w, down_factor, dtype=np.flo
     return out
 
 
-def seg_head_forward(params, fused, prompt_coords, training, use_gate_input=True):
+def seg_head_forward(params, fused, prompt_coords, training):
     """Box-prompted head over fused features; returns full-input-scale logits.
 
     The prompt is concatenated as an extra channel; the logit map is produced
@@ -241,7 +241,9 @@ class TwoScaleOut:
     prob_b_up: T.Tensor  # prob_b resized to scale_pair[0]
 
 
-def _scale_coords(coords, src, dst):
+def scale_coords(coords, src, dst):
+    """Map inclusive box coords from a src-sized grid onto a dst-sized one
+    (corner-aligned, outward rounding). None passes through."""
     if coords is None:
         return None
     f = (dst - 1) / (src - 1) if src > 1 else 0.0
@@ -267,8 +269,8 @@ def two_scale_forward(params, images, prompt_coords, training, cfg: NetConfig, u
     coords_a = None
     coords_b = None
     if prompt_coords is not None:
-        coords_a = [_scale_coords(c, native, s_a) for c in prompt_coords]
-        coords_b = [_scale_coords(c, native, s_b) for c in prompt_coords]
+        coords_a = [scale_coords(c, native, s_a) for c in prompt_coords]
+        coords_b = [scale_coords(c, native, s_b) for c in prompt_coords]
     logits_a = single_scale_forward(params, x_a, coords_a, training, use_cnn_gate)
     logits_b = single_scale_forward(params, x_b, coords_b, training, use_cnn_gate)
     prob_a = T.sigmoid(logits_a)

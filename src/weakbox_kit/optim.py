@@ -16,9 +16,6 @@ class AdamW:
         self.m = {n: np.zeros_like(t.data) for n, t in params.trainable()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.trainable()}
 
-    def zero_grad(self):
-        self.params.zero_grad()
-
     def step(self):
         self.step_count += 1
         t = self.step_count
@@ -63,9 +60,6 @@ class SGD:
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.buf = {n: np.zeros_like(t.data) for n, t in params.trainable()}
-
-    def zero_grad(self):
-        self.params.zero_grad()
 
     def step(self):
         self.step_count += 1

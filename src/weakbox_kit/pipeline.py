@@ -20,7 +20,6 @@ from scipy.ndimage import uniform_filter
 
 from . import tensor as T
 from .boxes import (
-    BoxCoords,
     Center,
     CenterStatus,
     EmptyMaskError,
@@ -34,7 +33,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import LossConfig, Phase, branch_loss, detail_refine_loss, mm2b_loss, sc_loss, total_loss
 from .metrics import acc_sen_spe, confusion_counts, dsc_miou, hd95
-from .nets import NetConfig, detail_refine_forward, init_params, single_scale_forward, two_scale_forward
+from .nets import NetConfig, detail_refine_forward, init_params, scale_coords, single_scale_forward, two_scale_forward
 from .optim import make_optimizer
 from .reports import MetricsRow
 from .synth import load_dataset, rng_from_key
@@ -89,10 +88,9 @@ def box_for_loss(prob_plane, threshold=0.5):
         return mask_to_box(prob_plane, threshold)
     except EmptyMaskError:
         box = backproject_min(project(prob_plane))
-        peak = np.unravel_index(int(np.argmax(prob_plane.data if isinstance(prob_plane, T.Tensor) else prob_plane)), box.data.shape if isinstance(box, T.Tensor) else box.shape)
+        peak = np.unravel_index(int(np.argmax(prob_plane.data)), box.data.shape)
         status = CenterStatus(status=Center.FOREGROUND, centroid=(int(peak[0]), int(peak[1])))
-        if isinstance(box, T.Tensor):
-            box.meta["branch"] = status.status
+        box.meta["branch"] = status.status
         return box, status
 
 
@@ -115,18 +113,7 @@ def prompted_two_scale(params, images_np, cfg: RunConfig, ncfg: NetConfig, train
         x_a = x if native == s_a else T.bilinear_resize(x, s_a, s_a)
         neutral_logits = single_scale_forward(params, x_a, None, training, cfg.use_cnn_gate)
         neutral_prob = T.sigmoid(neutral_logits).data
-    prompts = []
-    for b in range(images_np.shape[0]):
-        coords = prompt_from_probability(neutral_prob[b, 0])
-        if coords is not None and native != s_a:
-            f = (native - 1) / (s_a - 1) if s_a > 1 else 0.0
-            coords = BoxCoords(
-                int(math.floor(coords.row_min * f)),
-                int(math.floor(coords.col_min * f)),
-                min(int(math.ceil(coords.row_max * f)), native - 1),
-                min(int(math.ceil(coords.col_max * f)), native - 1),
-            )
-        prompts.append(coords)
+    prompts = [scale_coords(prompt_from_probability(neutral_prob[b, 0]), s_a, native) for b in range(images_np.shape[0])]
     out = two_scale_forward(params, x, prompts, training, ncfg, cfg.use_cnn_gate)
     return out, prompts
 
@@ -155,6 +142,11 @@ def weak_batch_loss(params, images_np, weak_boxes, cfg, ncfg, lcfg, training=Tru
     return T.affine(total, 1.0 / n, 0.0)
 
 
+def _check_scale1(shape, scale1):
+    if shape[0] != scale1:
+        raise ValueError(f"dataset size {shape} does not match scale1 {scale1}; set scale1 to the dataset size")
+
+
 def _batch_arrays(samples, indices, cfg, epoch, scale):
     images, weaks = [], []
     for idx in indices:
@@ -165,8 +157,7 @@ def _batch_arrays(samples, indices, cfg, epoch, scale):
             image, mask = augment_pair(image, mask, rng)
         # the weak path only ever sees the tight box of the mask
         weak = gt_box_mask(mask)
-        if weak.shape[0] != scale:
-            raise ValueError(f"dataset size {weak.shape} does not match scale1 {scale}; set scale1 to the dataset size")
+        _check_scale1(weak.shape, scale)
         images.append(image[None])
         weaks.append(weak.astype(np.float32))
     return np.stack(images).astype(np.float32), weaks
@@ -324,6 +315,15 @@ def has_refine(params):
     return "refine.out.w" in params.tensors
 
 
+def load_model(checkpoint_path, cfg: RunConfig):
+    """Parameters from a checkpoint, plus the frozen refiner from
+    cfg.refine_checkpoint when one is set."""
+    params = load_checkpoint(checkpoint_path).build_params()
+    if cfg.refine_checkpoint:
+        load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
+    return params
+
+
 def predict_batch(params, images_np, cfg, ncfg, use_refine):
     """Eval-mode prompted prediction. Returns (coarse probs, refined probs or
     None, prompts, in-box scale-gap inputs) as numpy arrays at native size."""
@@ -344,9 +344,6 @@ def predict_batch(params, images_np, cfg, ncfg, use_refine):
             prompts,
             (out.prob_a.data.copy(), out.prob_b_up.data.copy()),
         )
-
-
-_HD95_EMPTY_PENALTY = "diagonal"
 
 
 def evaluate_predictions(preds, gts, sample_ids=None):
@@ -385,6 +382,9 @@ def evaluate(cfg: RunConfig, params, samples, use_refine=False, sample_ids=None)
     ncfg = net_config(cfg)
     if use_refine and not has_refine(params):
         raise ValueError("evaluate: refine output requested but checkpoint has no refine parameters")
+    # the in-box scale gap compares scale-1 maps against the native weak box
+    for s in samples:
+        _check_scale1(s.weak_box.shape, cfg.scale1)
     preds, gts, gaps = [], [], []
     for lo in range(0, len(samples), cfg.batch_size):
         chunk = samples[lo : lo + cfg.batch_size]

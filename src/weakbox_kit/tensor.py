@@ -78,85 +78,11 @@ class Tensor:
         self._node = None
         self._is_leaf = True
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data.reshape(()))
 
-    def detach(self):
-        """Plain array copy, off any tape."""
-        return np.array(self.data, copy=True)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; scalars go through the affine fast path
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return affine(self, 1.0, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return affine(self, 1.0, -float(other))
-
-    def __rsub__(self, other):
-        return affine(self, -1.0, float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return affine(self, 1.0 / float(other), 0.0)
-
-    def __neg__(self):
-        return affine(self, -1.0, 0.0)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def relu(self):
-        return relu(self)
-
-    def abs(self):
-        return tabs(self)
-
-    def log(self):
-        return tlog(self)
-
-    def clamp(self, lo, hi):
-        return clamp(self, lo, hi)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def as_tensor(value, dtype=None):

@@ -7,7 +7,6 @@ suite's runtime.
 
 import dataclasses
 import math
-import os
 import time
 
 import numpy as np
@@ -15,13 +14,13 @@ import pytest
 
 from weakbox_kit import tensor as T
 from weakbox_kit.boxes import backproject_min, project
-from weakbox_kit.checkpoint import load_checkpoint
 from weakbox_kit.config import RunConfig
 from weakbox_kit.gradcheck import run_gradcheck
 from weakbox_kit.losses import LossConfig, bce_loss, detail_refine_loss, dice_loss
 from weakbox_kit.metrics import confusion_counts, dsc_miou, hd95
-from weakbox_kit.pipeline import evaluate, net_config, predict_batch, split_dataset, train_refine, train_weak
+from weakbox_kit.pipeline import evaluate, net_config, predict_batch, split_dataset, train_weak
 from weakbox_kit.reports import write_metrics_report
+from weakbox_kit.study import format_row, run_seed, verdicts
 from weakbox_kit.synth import DatasetSpec, generate_dataset, load_dataset, make_sample, save_dataset
 
 
@@ -223,88 +222,20 @@ def test_invariant_augmentation_consistency(e2e_run):
 TREND_SEEDS = tuple(range(1, 11))
 
 
-def _trend_dataset(root, name, spec):
-    out = os.path.join(root, name)
-    save_dataset(generate_dataset(spec), spec, out)
-    _, samples = load_dataset(out)
-    return out, samples
-
-
 @pytest.fixture(scope="session")
 def trend_results(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("trend"))
     rows = []
     for seed in TREND_SEEDS:
-        train_dir, samples = _trend_dataset(
-            root,
-            f"s{seed}_train",
-            DatasetSpec(count=80, size=64, n_objects_min=1, n_objects_max=1, shapes=("ellipse", "fused", "annulus"), noise=0.3, seed=1000 + seed),
-        )
-        _, holdout = split_dataset(samples, 0.2)
-        _, multi = _trend_dataset(
-            root,
-            f"s{seed}_multi",
-            DatasetSpec(count=24, size=64, n_objects_min=2, n_objects_max=2, shapes=("ellipse",), noise=0.3, seed=2000 + seed),
-        )
-
-        def weak(**kw):
-            cfg = RunConfig(phase="weak", epochs=25, batch_size=8, learning_rate=1e-3, dataset_dir=train_dir, seed=seed, **kw)
-            return cfg, train_weak(cfg)
-
-        cfg_full, full = weak()
-        _, enc = weak(use_cnn_gate=False)
-        _, nosc = weak(use_sc=False)
-        cfg_box, fullbox = weak(supervision="fullbox")
-
-        rcfg = RunConfig(
-            phase="refine",
-            epochs=40,
-            batch_size=4,
-            learning_rate=2e-3,
-            dataset_dir=train_dir,
-            seed=seed,
-            refine_label_fraction=0.15,
-            checkpoint_out=os.path.join(root, f"s{seed}_refine.ckpt"),
-        )
-        train_refine(rcfg)
-        load_checkpoint(rcfg.checkpoint_out).merge_into(full.params, "refine.", frozen=True)
-
-        _, m_full, gap_sc = evaluate(cfg_full, full.params, holdout)
-        _, m_enc, _ = evaluate(cfg_full, enc.params, holdout)
-        _, m_nosc, gap_nosc = evaluate(cfg_full, nosc.params, holdout)
-        _, m_refined, _ = evaluate(cfg_full, full.params, holdout, use_refine=True)
-        _, m_multi, _ = evaluate(cfg_full, full.params, multi)
-        _, m_multi_box, _ = evaluate(cfg_box, fullbox.params, multi)
-        row = {
-            "seed": seed,
-            "dsc_full": m_full["dsc"],
-            "dsc_enc": m_enc["dsc"],
-            "hd95_coarse": m_full["hd95"],
-            "dsc_refined": m_refined["dsc"],
-            "hd95_refined": m_refined["hd95"],
-            "gap_sc": gap_sc,
-            "gap_nosc": gap_nosc,
-            "dsc_multi_mm2b": m_multi["dsc"],
-            "dsc_multi_fullbox": m_multi_box["dsc"],
-        }
-        rows.append(row)
-        print(
-            f"  trend seed {seed}: full {row['dsc_full']:.3f} enc {row['dsc_enc']:.3f} "
-            f"refined {row['dsc_refined']:.3f}/{row['hd95_refined']:.2f} coarse hd {row['hd95_coarse']:.2f} "
-            f"gap {row['gap_sc']:.4f}/{row['gap_nosc']:.4f} multi {row['dsc_multi_mm2b']:.3f}/{row['dsc_multi_fullbox']:.3f}"
-        )
+        rows.append(run_seed(seed, root, epochs=25, refine_epochs=40))
+        print(f"  trend {format_row(rows[-1])}")
     return rows
 
 
 def test_criterion_ablation_trend(trend_results):
     n = len(trend_results)
-    gate_wins = sum(r["dsc_full"] >= r["dsc_enc"] for r in trend_results)
-    refine_wins = sum(
-        r["hd95_refined"] < r["hd95_coarse"] and r["dsc_refined"] >= r["dsc_full"] for r in trend_results
-    )
-    margin = float(
-        np.mean([r["dsc_multi_mm2b"] for r in trend_results]) - np.mean([r["dsc_multi_fullbox"] for r in trend_results])
-    )
+    v = verdicts(trend_results)
+    gate_wins, refine_wins, margin = v["gate_wins"], v["refine_wins"], v["multi_margin"]
     ok = gate_wins >= 7 and refine_wins >= 8 and margin >= 0.03
     report(
         "ablation-trend",
@@ -316,7 +247,7 @@ def test_criterion_ablation_trend(trend_results):
 
 def test_criterion_scale_consistency_effect(trend_results):
     n = len(trend_results)
-    wins = sum(r["gap_sc"] < r["gap_nosc"] for r in trend_results)
+    wins = verdicts(trend_results)["sc_wins"]
     report("scale-consistency-effect", wins >= 8, f"in-box |P1-P2| lower with sc in {wins}/{n} seeds (>= 8)")
 
 

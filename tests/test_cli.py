@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from weakbox_kit.checkpoint import save_checkpoint
 from weakbox_kit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from weakbox_kit.nets import NetConfig, init_params
 from weakbox_kit.pgm import read_pgm, write_pgm
+from weakbox_kit.synth import DatasetSpec, generate_dataset, save_dataset
 
 
 def write_file(path, text):
@@ -162,6 +165,16 @@ def test_eval_missing_checkpoint(workspace, tmp_path):
     _, _, run_cfg = workspace
     code = main(["eval", "--config", run_cfg, "--checkpoint", str(tmp_path / "nope.ckpt"), "--out", str(tmp_path / "e")])
     assert code == EXIT_DATA
+
+
+def test_eval_dataset_size_other_than_scale1_is_data_error(tmp_path):
+    spec = DatasetSpec(count=4, size=48, seed=7)
+    data_dir = str(tmp_path / "data48")
+    save_dataset(generate_dataset(spec), spec, data_dir)
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    run_cfg = write_file(tmp_path / "run.cfg", f"dataset_dir = {data_dir}\n")
+    assert main(["eval", "--config", run_cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "e")]) == EXIT_DATA
 
 
 def test_config_unknown_key_is_data_error(workspace, tmp_path):

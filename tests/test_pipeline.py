@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 
 from weakbox_kit import tensor as T
+from weakbox_kit.boxes import BoxCoords
 from weakbox_kit.checkpoint import load_checkpoint
 from weakbox_kit.config import RunConfig
+from weakbox_kit.nets import init_params, scale_coords, single_scale_forward
 from weakbox_kit.pipeline import (
     augment_pair,
     degrade_mask,
     evaluate,
     evaluate_predictions,
     mean_metrics,
+    net_config,
+    predict_batch,
+    prompt_from_probability,
     refine_subset_indices,
     split_dataset,
     train_refine,
     train_weak,
 )
-from weakbox_kit.synth import load_dataset, rng_from_key
+from weakbox_kit.synth import DatasetSpec, generate_dataset, load_dataset, rng_from_key
 
 
 def cfg_for(dataset_dir, tmp_path=None, **kw):
@@ -227,6 +232,31 @@ def test_evaluate_refine_requested_without_params(tiny_dataset_dir):
     result = train_weak(cfg)
     with pytest.raises(ValueError, match="no refine parameters"):
         evaluate(cfg, result.params, load_dataset(tiny_dataset_dir)[1][:2], use_refine=True)
+
+
+def test_evaluate_rejects_dataset_size_other_than_scale1():
+    cfg = RunConfig()
+    params = init_params(0, net_config(cfg), include_refine=False)
+    with pytest.raises(ValueError, match="does not match scale1 64"):
+        evaluate(cfg, params, generate_dataset(DatasetSpec(count=4, size=48)))
+
+
+def test_predict_batch_rescales_prompt_to_native_grid():
+    # a 48x48 image with scale1 = 64: the neutral pass runs at 64 and its
+    # box prompt is mapped back onto the 48x48 grid
+    assert scale_coords(BoxCoords(0, 3, 61, 63), 64, 48) == BoxCoords(0, 2, 46, 47)
+    cfg = RunConfig()
+    ncfg = net_config(cfg)
+    params = init_params(1, ncfg, include_refine=False)
+    image = generate_dataset(DatasetSpec(count=1, size=48, seed=5))[0].image[None, None].astype(np.float32)
+    _, _, prompts, _ = predict_batch(params, image, cfg, ncfg, use_refine=False)
+    with T.no_grad():
+        neutral = T.sigmoid(single_scale_forward(params, T.bilinear_resize(T.Tensor(image), 64, 64), None, False))
+    box_64 = prompt_from_probability(neutral.data[0, 0])
+    assert box_64 is not None and box_64 != BoxCoords(0, 0, 63, 63)
+    p = prompts[0]
+    assert 0 <= p.row_min <= p.row_max < 48 and 0 <= p.col_min <= p.col_max < 48
+    assert p == scale_coords(box_64, 64, 48)
 
 
 def test_phase_mismatch_rejected(tiny_dataset_dir):
