@@ -15,12 +15,14 @@ from .boxes import BoxCoords
 from .synth import rng_from_key
 
 
+IN_CHANNELS = 1
+HEAD_CHANNELS = 16
+REFINE_CHANNELS = (8, 16, 32)
+
+
 @dataclass(frozen=True)
 class NetConfig:
-    in_channels: int = 1
     feat_channels: int = 16
-    head_channels: int = 16
-    refine_channels: tuple = (8, 16, 32)
     scale_pair: tuple = (64, 48)
 
 
@@ -83,7 +85,7 @@ def init_params(seed: int, cfg: NetConfig | None = None, include_refine: bool = 
     """Build the full parameter store. The global encoder is frozen."""
     cfg = cfg or NetConfig()
     params = ParamStore()
-    cin, feat = cfg.in_channels, cfg.feat_channels
+    cin, feat = IN_CHANNELS, cfg.feat_channels
     mid = feat // 2
 
     rng = rng_from_key(seed, "encoder")
@@ -102,7 +104,7 @@ def init_params(seed: int, cfg: NetConfig | None = None, include_refine: bool = 
     params.add("gate.alpha_logit", np.zeros((), dtype=np.float32))
 
     rng = rng_from_key(seed, "head")
-    hc = cfg.head_channels
+    hc = HEAD_CHANNELS
     _add_conv(params, rng, "head.conv1", hc, feat + 1, 3, bias=False)
     _add_bn(params, "head.bn1", hc)
     _add_conv(params, rng, "head.conv2", hc, hc, 3, bias=False)
@@ -118,7 +120,7 @@ def init_params(seed: int, cfg: NetConfig | None = None, include_refine: bool = 
 
     if include_refine:
         rng = rng_from_key(seed, "refine")
-        c1, c2, c3 = cfg.refine_channels
+        c1, c2, c3 = REFINE_CHANNELS
         _add_res_block(params, rng, "refine.enc1", cin + 1, c1)
         _add_res_block(params, rng, "refine.enc2", c1, c2)
         _add_res_block(params, rng, "refine.bottleneck", c2, c3)
@@ -264,7 +266,7 @@ def two_scale_forward(params, images, prompt_coords, training, cfg: NetConfig, u
     """
     s_a, s_b = cfg.scale_pair
     native = images.data.shape[2]
-    x_a = images if native == s_a else T.bilinear_resize(images, s_a, s_a)
+    x_a = T.bilinear_resize(images, s_a, s_a)
     x_b = T.bilinear_resize(images, s_b, s_b)
     coords_a = None
     coords_b = None

@@ -28,8 +28,9 @@ def write_pgm(path, grid: np.ndarray) -> None:
     arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim != 2:
         raise PgmFormatError(f"grid must be 2-d, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise PgmFormatError("grid values must lie in [0, 1]")
+    # a NaN propagates through min(), so the first test also rejects it
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise PgmFormatError("grid values must be finite and lie in [0, 1]")
     h, w = arr.shape
     payload = np.rint(arr * 255.0).astype(np.uint8)
     with open(path, "wb") as f:

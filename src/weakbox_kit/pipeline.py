@@ -106,12 +106,13 @@ def prompt_from_probability(prob_plane_np, threshold=0.5):
 def prompted_two_scale(params, images_np, cfg: RunConfig, ncfg: NetConfig, training):
     """Neutral-prompt pass to derive per-sample box prompts, then the real
     prompted two-scale forward. Returns (out, prompts)."""
+    _, _, native, width = images_np.shape
+    if native != width:
+        raise ValueError(f"images must be square, got {native}x{width} (height x width)")
     x = T.Tensor(images_np, dtype=np.float32)
     s_a = ncfg.scale_pair[0]
-    native = images_np.shape[2]
     with T.no_grad():
-        x_a = x if native == s_a else T.bilinear_resize(x, s_a, s_a)
-        neutral_logits = single_scale_forward(params, x_a, None, training, cfg.use_cnn_gate)
+        neutral_logits = single_scale_forward(params, T.bilinear_resize(x, s_a, s_a), None, training, cfg.use_cnn_gate)
         neutral_prob = T.sigmoid(neutral_logits).data
     prompts = [scale_coords(prompt_from_probability(neutral_prob[b, 0]), s_a, native) for b in range(images_np.shape[0])]
     out = two_scale_forward(params, x, prompts, training, ncfg, cfg.use_cnn_gate)
@@ -330,9 +331,7 @@ def predict_batch(params, images_np, cfg, ncfg, use_refine):
     with T.no_grad():
         out, prompts = prompted_two_scale(params, images_np, cfg, ncfg, training=False)
         native = images_np.shape[2]
-        logits = out.logits_a
-        if logits.data.shape[2] != native:
-            logits = T.bilinear_resize(logits, native, native)
+        logits = T.bilinear_resize(out.logits_a, native, native)
         coarse = T.sigmoid(logits)
         refined = None
         if use_refine:

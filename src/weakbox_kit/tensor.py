@@ -471,44 +471,27 @@ def maxpool2d(x):
     return _wrap(out, (x,), grad_fn, meta=meta)
 
 
-def _resize_weights(n_in, n_out):
-    # align-corners: endpoints map exactly
-    if n_out == 1:
-        src = np.zeros(1)
-    else:
-        src = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
-    i0 = np.floor(src).astype(np.int64)
-    i0 = np.minimum(i0, n_in - 1)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    frac = src - i0
-    return i0, i1, frac
+def _interp_matrix(n_in, n_out, dtype):
+    """(n_out, n_in) align-corners weights: output i samples input position
+    i * (n_in - 1) / (n_out - 1), so the endpoints map exactly; a single
+    output takes input 0. Equal sizes give the exact identity."""
+    step = (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
+    src = np.arange(n_out)[:, None] * step
+    return np.maximum(0.0, 1.0 - np.abs(src - np.arange(n_in)[None, :])).astype(dtype)
 
 
 def bilinear_resize(x, out_h, out_w):
-    """Align-corners bilinear resampling of an NCHW tensor."""
+    """Align-corners bilinear resampling of an NCHW tensor: out = R x C^T."""
     if x.data.ndim != 4:
         raise ShapeError(f"bilinear_resize expects NCHW, got {x.data.shape}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize target must be >= 1, got ({out_h}, {out_w})")
-    bsz, c, h, w = x.data.shape
-    r0, r1, fr = _resize_weights(h, out_h)
-    c0, c1, fc = _resize_weights(w, out_w)
-    fr = fr.astype(x.data.dtype)[:, None]
-    fc = fc.astype(x.data.dtype)[None, :]
-    d = x.data
-    top = d[:, :, r0, :][:, :, :, c0] * (1 - fr) * (1 - fc) + d[:, :, r0, :][:, :, :, c1] * (1 - fr) * fc
-    bot = d[:, :, r1, :][:, :, :, c0] * fr * (1 - fc) + d[:, :, r1, :][:, :, :, c1] * fr * fc
-    out = np.ascontiguousarray(top + bot)
+    r = _interp_matrix(x.data.shape[2], out_h, x.data.dtype)
+    c = _interp_matrix(x.data.shape[3], out_w, x.data.dtype)
+    out = r @ x.data @ c.T
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        rr = [(r0, 1 - fr), (r1, fr)]
-        cc = [(c0, 1 - fc), (c1, fc)]
-        for ri, wr in rr:
-            for ci, wc in cc:
-                contrib = g * wr * wc
-                np.add.at(gx, (slice(None), slice(None), ri[:, None], ci[None, :]), contrib)
-        return (gx,)
+        return (r.T @ g @ c,)
 
     return _wrap(out, (x,), grad_fn)
 

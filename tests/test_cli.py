@@ -177,6 +177,18 @@ def test_eval_dataset_size_other_than_scale1_is_data_error(tmp_path):
     assert main(["eval", "--config", run_cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "e")]) == EXIT_DATA
 
 
+def test_infer_rejects_non_square_image(tmp_path, capsys):
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    run_cfg = write_file(tmp_path / "run.cfg", "seed = 5\n")
+    image = str(tmp_path / "wide.pgm")
+    write_pgm(image, np.random.default_rng(0).uniform(0, 1, (48, 40)))
+    out_dir = tmp_path / "infer"
+    assert main(["infer", "--config", run_cfg, "--checkpoint", ckpt, "--images", image, "--out", str(out_dir)]) == EXIT_DATA
+    assert "48x40" in capsys.readouterr().err
+    assert not (out_dir / "wide_coarse.pgm").exists()
+
+
 def test_config_unknown_key_is_data_error(workspace, tmp_path):
     root, _, _ = workspace
     bad = write_file(tmp_path / "bad.cfg", "dataset_dir = .\nwibble = 3\n")

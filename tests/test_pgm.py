@@ -81,3 +81,11 @@ def test_header_comments_allowed(tmp_path):
 def test_write_rejects_out_of_range(tmp_path):
     with pytest.raises(PgmFormatError):
         write_pgm(tmp_path / "bad.pgm", np.full((2, 2), 1.5, dtype=np.float32))
+
+
+def test_write_rejects_non_finite(tmp_path):
+    path = tmp_path / "nan.pgm"
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(PgmFormatError, match="finite"):
+            write_pgm(path, np.array([[bad, 0.5]]))
+        assert not path.exists()

@@ -89,9 +89,63 @@ def test_bilinear_align_corners_midpoint():
 
 
 def test_bilinear_identity_same_size():
-    x = T.Tensor(np.random.default_rng(2).uniform(-1, 1, (2, 3, 5, 4)).astype(np.float32))
-    out = T.bilinear_resize(x, 5, 4)
-    assert np.array_equal(out.data, x.data)
+    rng = np.random.default_rng(2)
+    for shape in ((2, 3, 5, 4), (8, 1, 64, 64), (1, 2, 1, 1), (2, 1, 1, 7)):
+        for dtype in (np.float32, np.float64):
+            x = T.Tensor(rng.uniform(-1, 1, shape).astype(dtype))
+            out = T.bilinear_resize(x, shape[2], shape[3])
+            assert out.data.dtype == dtype
+            assert np.array_equal(out.data, x.data)
+
+
+# (n_in, n_out) pairs the model resamples through, plus the one-pixel edges
+RESIZE_PAIRS = ((64, 48), (48, 64), (16, 64), (12, 48), (8, 16), (16, 32), (32, 64), (1, 5), (5, 1))
+
+
+def _bilinear_oracle(x, out_h, out_w):
+    """Align-corners bilinear resampling, one output pixel at a time."""
+
+    def taps(i, n_in, n_out):
+        pos = i * (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
+        lo = min(int(np.floor(pos)), n_in - 1)
+        return lo, min(lo + 1, n_in - 1), pos - lo
+
+    h, w = x.shape[2:]
+    out = np.zeros(x.shape[:2] + (out_h, out_w))
+    for i in range(out_h):
+        r0, r1, fr = taps(i, h, out_h)
+        for j in range(out_w):
+            c0, c1, fc = taps(j, w, out_w)
+            top = (1 - fc) * x[:, :, r0, c0] + fc * x[:, :, r0, c1]
+            bot = (1 - fc) * x[:, :, r1, c0] + fc * x[:, :, r1, c1]
+            out[:, :, i, j] = (1 - fr) * top + fr * bot
+    return out
+
+
+def test_bilinear_matches_per_pixel_oracle():
+    rng = np.random.default_rng(4)
+    for n_in, n_out in RESIZE_PAIRS:
+        # rows go n_in -> n_out, columns the other way round
+        x = rng.uniform(-1, 1, (2, 2, n_in, n_out))
+        want = _bilinear_oracle(x, n_out, n_in)
+        out64 = T.bilinear_resize(T.Tensor(x, dtype=np.float64), n_out, n_in).data
+        out32 = T.bilinear_resize(T.Tensor(x, dtype=np.float32), n_out, n_in).data
+        assert out64.dtype == np.float64 and out32.dtype == np.float32
+        assert np.allclose(out64, want, rtol=0, atol=1e-12), (n_in, n_out)
+        assert np.allclose(out32, want, rtol=0, atol=1e-6), (n_in, n_out)
+
+
+def test_bilinear_backward_is_adjoint():
+    # <resize(X), G> == <X, resize^T(G)> for the gradient the tape returns
+    rng = np.random.default_rng(5)
+    for n_in, n_out in RESIZE_PAIRS:
+        x = T.Tensor(rng.uniform(-1, 1, (2, 3, n_in, n_out)), dtype=np.float64, requires_grad=True)
+        g = rng.uniform(-1, 1, (2, 3, n_out, n_in))
+        out = T.bilinear_resize(x, n_out, n_in)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g, dtype=np.float64))))
+        lhs = float((out.data * g).sum())
+        rhs = float((x.data * x.grad).sum())
+        assert abs(lhs - rhs) <= 1e-10 * abs(lhs), (n_in, n_out)
 
 
 def test_reduce_max_examples():
