@@ -16,7 +16,7 @@ from weakbox_kit.study import format_row, run_seed, verdicts
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=10)
+    ap.add_argument("--seeds", type=int, default=10, help="run seeds 1..N, as the acceptance trend criteria do")
     ap.add_argument("--epochs", type=int, default=25)
     ap.add_argument("--refine-epochs", type=int, default=40)
     ap.add_argument("--workdir", default=None)
@@ -24,7 +24,7 @@ def main():
 
     root = args.workdir or tempfile.mkdtemp(prefix="weakbox_ablation_")
     rows = []
-    for seed in range(args.seeds):
+    for seed in range(1, args.seeds + 1):
         rows.append(run_seed(seed, root, args.epochs, args.refine_epochs))
         print(format_row(rows[-1]))
 

@@ -2,6 +2,7 @@
 table (trainable / frozen / running-stat entries), optimizer state, RNG seed
 record, and the epoch counter. save -> load -> save is byte-identical."""
 
+import os
 import struct
 
 import numpy as np
@@ -112,8 +113,11 @@ def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_s
         blob += struct.pack("<B", which)
         blob += _pack_array(arr)
 
-    with open(path, "wb") as f:
+    # write beside the target, then rename: a failed write leaves the old file
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(bytes(blob))
+    os.replace(tmp, path)
 
 
 class Checkpoint:

@@ -168,7 +168,7 @@ def global_encoder_forward(params, image):
 
 
 def cnn_block_forward(params, image, training):
-    """Two strided residual stages; returns (features, named taps)."""
+    """Two strided residual stages."""
     s1 = T.add(
         T.relu(_bn(params, "cnn.stage1.bn", _conv(params, "cnn.stage1.conv", image, stride=2, pad=1), training)),
         _conv(params, "cnn.stage1.skip", image, stride=2),
@@ -177,7 +177,7 @@ def cnn_block_forward(params, image, training):
         T.relu(_bn(params, "cnn.stage2.bn", _conv(params, "cnn.stage2.conv", s1, stride=2, pad=1), training)),
         _conv(params, "cnn.stage2.skip", s1, stride=2),
     )
-    return s2, {"p1": s1, "p2": s2}
+    return s2
 
 
 def fusion_gate(x_global, x_local, alpha_logit):
@@ -221,18 +221,20 @@ def seg_head_forward(params, fused, prompt_coords, training):
     return T.bilinear_resize(logits, fh * 4, fw * 4)
 
 
+def encode(params, image, training, use_cnn_gate):
+    """Frozen encoder features, gated with the CNN block when use_cnn_gate."""
+    x_global = global_encoder_forward(params, image)
+    if not use_cnn_gate:
+        return x_global
+    return fusion_gate(x_global, cnn_block_forward(params, image, training), params["gate.alpha_logit"])
+
+
 def single_scale_forward(params, image, prompt_coords, training, use_cnn_gate=True):
     """Encoder(+CNN gate) features -> prompted head -> logits at input scale.
 
     prompt_coords are in the coordinate frame of `image`.
     """
-    x_global = global_encoder_forward(params, image)
-    if use_cnn_gate:
-        x_local, _ = cnn_block_forward(params, image, training)
-        fused = fusion_gate(x_global, x_local, params["gate.alpha_logit"])
-    else:
-        fused = x_global
-    return seg_head_forward(params, fused, prompt_coords, training)
+    return seg_head_forward(params, encode(params, image, training, use_cnn_gate), prompt_coords, training)
 
 
 @dataclass
@@ -241,6 +243,7 @@ class TwoScaleOut:
     logits_b: T.Tensor  # at scale_pair[1]
     prob_a: T.Tensor
     prob_b_up: T.Tensor  # prob_b resized to scale_pair[0]
+    prompts: list  # per-sample box prompts in the native frame (None = neutral)
 
 
 def scale_coords(coords, src, dst):
@@ -257,27 +260,29 @@ def scale_coords(coords, src, dst):
     )
 
 
-def two_scale_forward(params, images, prompt_coords, training, cfg: NetConfig, use_cnn_gate=True):
-    """Run the shared-weight stack on both scales of the scale pair.
+def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig, use_cnn_gate=True):
+    """Self-prompted forward on both scales of the scale pair.
 
-    `images` is NCHW at the native resolution; prompt_coords (native frame)
-    are rescaled per scale. The second scale's probability map is resized
-    back to the first scale for consistency comparisons.
+    `images` is square NCHW at the native resolution. The scale-one features
+    are encoded once: a no-tape neutral-prompt head pass over them gives each
+    probability plane, `prompt_for` maps a plane to a box prompt (or None),
+    and the prompted head reruns on the same features. Prompts are returned
+    in the native frame; prob_b_up is the second scale resized to the first.
     """
+    _, _, native, width = images.data.shape
+    if native != width:
+        raise ValueError(f"images must be square, got {native}x{width} (height x width)")
     s_a, s_b = cfg.scale_pair
-    native = images.data.shape[2]
-    x_a = T.bilinear_resize(images, s_a, s_a)
+    feats_a = encode(params, T.bilinear_resize(images, s_a, s_a), training, use_cnn_gate)
+    with T.no_grad():
+        neutral = T.sigmoid(seg_head_forward(params, feats_a, None, training)).data
+    prompts = [scale_coords(prompt_for(plane[0]), s_a, native) for plane in neutral]
+    logits_a = seg_head_forward(params, feats_a, [scale_coords(c, native, s_a) for c in prompts], training)
     x_b = T.bilinear_resize(images, s_b, s_b)
-    coords_a = None
-    coords_b = None
-    if prompt_coords is not None:
-        coords_a = [scale_coords(c, native, s_a) for c in prompt_coords]
-        coords_b = [scale_coords(c, native, s_b) for c in prompt_coords]
-    logits_a = single_scale_forward(params, x_a, coords_a, training, use_cnn_gate)
-    logits_b = single_scale_forward(params, x_b, coords_b, training, use_cnn_gate)
+    logits_b = single_scale_forward(params, x_b, [scale_coords(c, native, s_b) for c in prompts], training, use_cnn_gate)
     prob_a = T.sigmoid(logits_a)
     prob_b_up = T.sigmoid(T.bilinear_resize(logits_b, s_a, s_a))
-    return TwoScaleOut(logits_a=logits_a, logits_b=logits_b, prob_a=prob_a, prob_b_up=prob_b_up)
+    return TwoScaleOut(logits_a=logits_a, logits_b=logits_b, prob_a=prob_a, prob_b_up=prob_b_up, prompts=prompts)
 
 
 @dataclass

@@ -28,6 +28,8 @@ def write_pgm(path, grid: np.ndarray) -> None:
     arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim != 2:
         raise PgmFormatError(f"grid must be 2-d, got shape {arr.shape}")
+    if arr.size == 0:
+        raise PgmFormatError(f"grid must not be empty, got shape {arr.shape}")
     # a NaN propagates through min(), so the first test also rejects it
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise PgmFormatError("grid values must be finite and lie in [0, 1]")

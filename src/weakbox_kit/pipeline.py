@@ -33,7 +33,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import LossConfig, Phase, branch_loss, detail_refine_loss, mm2b_loss, sc_loss, total_loss
 from .metrics import acc_sen_spe, confusion_counts, dsc_miou, hd95
-from .nets import NetConfig, detail_refine_forward, init_params, scale_coords, single_scale_forward, two_scale_forward
+from .nets import NetConfig, detail_refine_forward, init_params, two_scale_forward
+from .nets import single_scale_forward  # noqa: F401  perfbench/tracing.py patches this name here
 from .optim import make_optimizer
 from .reports import MetricsRow
 from .synth import load_dataset, rng_from_key
@@ -103,25 +104,10 @@ def prompt_from_probability(prob_plane_np, threshold=0.5):
         return None
 
 
-def prompted_two_scale(params, images_np, cfg: RunConfig, ncfg: NetConfig, training):
-    """Neutral-prompt pass to derive per-sample box prompts, then the real
-    prompted two-scale forward. Returns (out, prompts)."""
-    _, _, native, width = images_np.shape
-    if native != width:
-        raise ValueError(f"images must be square, got {native}x{width} (height x width)")
-    x = T.Tensor(images_np, dtype=np.float32)
-    s_a = ncfg.scale_pair[0]
-    with T.no_grad():
-        neutral_logits = single_scale_forward(params, T.bilinear_resize(x, s_a, s_a), None, training, cfg.use_cnn_gate)
-        neutral_prob = T.sigmoid(neutral_logits).data
-    prompts = [scale_coords(prompt_from_probability(neutral_prob[b, 0]), s_a, native) for b in range(images_np.shape[0])]
-    out = two_scale_forward(params, x, prompts, training, ncfg, cfg.use_cnn_gate)
-    return out, prompts
-
-
 def weak_batch_loss(params, images_np, weak_boxes, cfg, ncfg, lcfg, training=True):
     """Box-supervised loss over one batch; weak_boxes are at scale1 frame."""
-    out, _ = prompted_two_scale(params, images_np, cfg, ncfg, training)
+    x = T.Tensor(images_np, dtype=np.float32)
+    out = two_scale_forward(params, x, prompt_from_probability, training, ncfg, cfg.use_cnn_gate)
     n = images_np.shape[0]
     total = None
     for b in range(n):
@@ -329,18 +315,18 @@ def predict_batch(params, images_np, cfg, ncfg, use_refine):
     """Eval-mode prompted prediction. Returns (coarse probs, refined probs or
     None, prompts, in-box scale-gap inputs) as numpy arrays at native size."""
     with T.no_grad():
-        out, prompts = prompted_two_scale(params, images_np, cfg, ncfg, training=False)
+        x = T.Tensor(images_np, dtype=np.float32)
+        out = two_scale_forward(params, x, prompt_from_probability, False, ncfg, cfg.use_cnn_gate)
         native = images_np.shape[2]
         logits = T.bilinear_resize(out.logits_a, native, native)
         coarse = T.sigmoid(logits)
         refined = None
         if use_refine:
-            x = T.Tensor(images_np, dtype=np.float32)
             refined = T.sigmoid(detail_refine_forward(params, logits, x, training=False).refined)
         return (
             coarse.data.copy(),
             None if refined is None else refined.data.copy(),
-            prompts,
+            out.prompts,
             (out.prob_a.data.copy(), out.prob_b_up.data.copy()),
         )
 

@@ -1,5 +1,9 @@
+import builtins
+
 import numpy as np
 import pytest
+
+import weakbox_kit.checkpoint as checkpoint_module
 
 from weakbox_kit.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from weakbox_kit.nets import NetConfig, ParamStore, init_params
@@ -106,3 +110,35 @@ def test_merge_into_respects_prefix_and_frozen(tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"BSWK"
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "keep.ckpt"
+    save_checkpoint(path, small_store(), seed=1, epoch=1)
+    before = path.read_bytes()
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return FailingFile(builtins.open(file, mode, *args, **kwargs))
+
+    monkeypatch.setattr(checkpoint_module, "open", failing_open, raising=False)
+    store = init_params(2, NetConfig(), include_refine=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, store, seed=2, epoch=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    ck = load_checkpoint(path)
+    assert ck.seed == 1 and ck.epoch == 1

@@ -11,6 +11,7 @@ from weakbox_kit.nets import (
     global_encoder_forward,
     init_params,
     prompt_channel,
+    scale_coords,
     seg_head_forward,
     single_scale_forward,
     two_scale_forward,
@@ -62,30 +63,28 @@ def test_fusion_gate_shape_mismatch():
         fusion_gate(a, b, T.Tensor(0.0))
 
 
-def test_cnn_block_shape_and_taps(params):
-    out, taps = cnn_block_forward(params, _image(3), training=True)
+def test_cnn_block_shape(params):
+    out = cnn_block_forward(params, _image(3), training=True)
     assert out.data.shape == (2, 16, 16, 16)
-    assert taps["p1"].data.shape == (2, 8, 32, 32)
-    assert taps["p2"] is out
 
 
 def test_cnn_block_deterministic(params):
-    a, _ = cnn_block_forward(params, _image(4), training=False)
-    b, _ = cnn_block_forward(params, _image(4), training=False)
+    a = cnn_block_forward(params, _image(4), training=False)
+    b = cnn_block_forward(params, _image(4), training=False)
     assert np.array_equal(a.data, b.data)
 
 
 def test_cnn_block_zero_input_zero_output():
     p = init_params(7, NetConfig())
     x = T.Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
-    out, _ = cnn_block_forward(p, x, training=True)
+    out = cnn_block_forward(p, x, training=True)
     assert np.abs(out.data).max() == 0.0
 
 
 def test_encoder_matches_cnn_output_shape(params):
     img = _image(5)
     enc = global_encoder_forward(params, img)
-    cnn, _ = cnn_block_forward(params, img, training=False)
+    cnn = cnn_block_forward(params, img, training=False)
     assert enc.data.shape == cnn.data.shape
 
 
@@ -109,7 +108,7 @@ def test_frozen_params_survive_optimizer_steps():
     opt = AdamW(p, lr=0.05)
     x = _image(7, batch=1)
     for _ in range(3):
-        out, _ = cnn_block_forward(p, x, training=True)
+        out = cnn_block_forward(p, x, training=True)
         enc = global_encoder_forward(p, x)
         loss = T.tmean(T.mul(fusion_gate(enc, out, p["gate.alpha_logit"]), out))
         p.zero_grad()
@@ -124,7 +123,7 @@ def test_sgd_also_honors_frozen():
     before = {n: t.data.copy() for n, t in p.tensors.items() if t.frozen}
     opt = SGD(p, lr=0.5)
     enc = global_encoder_forward(p, _image(8, batch=1))
-    head, _ = cnn_block_forward(p, _image(8, batch=1), training=True)
+    head = cnn_block_forward(p, _image(8, batch=1), training=True)
     p.zero_grad()
     T.backward(T.tmean(T.mul(enc, head)))
     opt.step()
@@ -163,13 +162,32 @@ def test_seg_head_prompt_changes_output(params):
 def test_two_scale_forward_shapes_and_determinism(params):
     img = _image(13)
     cfg = NetConfig()
-    out1 = two_scale_forward(params, img, None, training=False, cfg=cfg)
-    out2 = two_scale_forward(params, img, None, training=False, cfg=cfg)
+    out1 = two_scale_forward(params, img, lambda plane: None, training=False, cfg=cfg)
+    out2 = two_scale_forward(params, img, lambda plane: None, training=False, cfg=cfg)
     assert out1.logits_a.data.shape == (2, 1, 64, 64)
     assert out1.logits_b.data.shape == (2, 1, 48, 48)
     assert out1.prob_b_up.data.shape == (2, 1, 64, 64)
+    assert out1.prompts == [None, None]
     assert np.array_equal(out1.prob_a.data, out2.prob_a.data)
     assert np.array_equal(out1.prob_b_up.data, out2.prob_b_up.data)
+
+    # the prompted head reuses the neutral pass's scale-one features: its
+    # logits are bit-identical to a fresh single-scale forward on the
+    # resized input with the same prompts, with and without the gate
+    small = _image(23, size=48)
+    for use_cnn_gate in (True, False):
+        planes = []
+
+        def prompt_for(plane):
+            planes.append(plane.shape)
+            return BoxCoords(5, 9, 40 + len(planes), 50)
+
+        out = two_scale_forward(params, small, prompt_for, training=False, cfg=cfg, use_cnn_gate=use_cnn_gate)
+        assert planes == [(64, 64), (64, 64)]
+        assert out.prompts == [scale_coords(BoxCoords(5, 9, 40 + k, 50), 64, 48) for k in (1, 2)]
+        coords_a = [scale_coords(c, 48, 64) for c in out.prompts]
+        ref = single_scale_forward(params, T.bilinear_resize(small, 64, 64), coords_a, False, use_cnn_gate)
+        assert np.array_equal(out.logits_a.data, ref.data)
 
 
 def test_refine_identity_at_init(params):

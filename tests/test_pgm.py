@@ -89,3 +89,11 @@ def test_write_rejects_non_finite(tmp_path):
         with pytest.raises(PgmFormatError, match="finite"):
             write_pgm(path, np.array([[bad, 0.5]]))
         assert not path.exists()
+
+
+def test_write_rejects_empty_grid(tmp_path):
+    path = tmp_path / "empty.pgm"
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(PgmFormatError, match=rf"empty, got shape \({shape[0]}, {shape[1]}\)"):
+            write_pgm(path, np.zeros(shape))
+        assert not path.exists()

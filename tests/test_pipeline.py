@@ -304,6 +304,34 @@ def test_gt_pixels_beyond_box_never_influence_weak_loss(tiny_dataset_dir):
     assert losses[0] == losses[1]
 
 
+def test_weak_step_updates_backbone_bn_once_per_scale(tiny_dataset_dir, monkeypatch):
+    # the neutral-prompt pass reuses the scale-one features, so only the head
+    # runs three times (neutral, scale one, scale two)
+    from collections import Counter
+
+    from weakbox_kit.pipeline import _batch_arrays, loss_config, weak_batch_loss
+
+    _, samples = load_dataset(tiny_dataset_dir)
+    cfg = cfg_for(tiny_dataset_dir, epochs=1)
+    ncfg = net_config(cfg)
+    params = init_params(cfg.seed, ncfg, include_refine=False)
+    layer_of = {id(arr): name[: -len(".running_mean")] for name, arr in params.stats.items() if name.endswith(".running_mean")}
+    updates = Counter()
+    batchnorm2d = T.batchnorm2d
+
+    def counting(x, gamma, beta, running_mean, running_var, training, **kw):
+        if training:
+            updates[layer_of[id(running_mean)]] += 1
+        return batchnorm2d(x, gamma, beta, running_mean, running_var, training, **kw)
+
+    monkeypatch.setattr(T, "batchnorm2d", counting)
+    images, weaks = _batch_arrays(samples, [0, 1, 2, 3], cfg, 0, 64)
+    weak_batch_loss(params, images, weaks, cfg, ncfg, loss_config(cfg), training=True)
+    assert set(updates) == set(layer_of.values())
+    assert {n: c for n, c in updates.items() if n.startswith("cnn.")} == {"cnn.stage1.bn": 2, "cnn.stage2.bn": 2}
+    assert {n: c for n, c in updates.items() if n.startswith("head.")} == {"head.bn1": 3, "head.bn2": 3}
+
+
 def test_nan_loss_aborts_with_diagnostics(tiny_dataset_dir, monkeypatch):
     import weakbox_kit.pipeline as pl
     from weakbox_kit.pipeline import NumericError

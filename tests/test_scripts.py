@@ -15,7 +15,7 @@ def run_script(name, *args):
 
 def test_run_ablation_prints_verdicts(tmp_path):
     out = run_script("run_ablation.py", "--seeds", "1", "--epochs", "1", "--refine-epochs", "1", "--workdir", str(tmp_path))
-    assert "seed 0: dsc full" in out
+    assert "seed 1: dsc full" in out
     assert "cnn+gate does not reduce dsc: " in out and "/1 seeds" in out
     assert "refiner lowers hd95 without dsc loss: " in out
     assert "sc loss lowers in-box scale gap: " in out
