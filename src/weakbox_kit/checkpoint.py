@@ -113,11 +113,17 @@ def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_s
         blob += struct.pack("<B", which)
         blob += _pack_array(arr)
 
-    # write beside the target, then rename: a failed write leaves the old file
+    # write beside the target, then rename: a failed write leaves the old
+    # file, and the partial temp file is removed
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(bytes(blob))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class Checkpoint:

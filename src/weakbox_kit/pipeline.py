@@ -29,7 +29,7 @@ from .boxes import (
     mask_to_box,
     project,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import LossConfig, Phase, branch_loss, detail_refine_loss, mm2b_loss, sc_loss, total_loss
 from .metrics import acc_sen_spe, confusion_counts, dsc_miou, hd95
@@ -302,12 +302,22 @@ def has_refine(params):
     return "refine.out.w" in params.tensors
 
 
+def _shapes(params):
+    return {**{n: t.data.shape for n, t in params.tensors.items()}, **{n: a.shape for n, a in params.stats.items()}}
+
+
 def load_model(checkpoint_path, cfg: RunConfig):
     """Parameters from a checkpoint, plus the frozen refiner from
-    cfg.refine_checkpoint when one is set."""
+    cfg.refine_checkpoint when one is set. Names and shapes must match the
+    config's parameter skeleton; the first entry that does not is named."""
     params = load_checkpoint(checkpoint_path).build_params()
     if cfg.refine_checkpoint:
         load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
+    got = _shapes(params)
+    want = _shapes(init_params(0, net_config(cfg), include_refine=has_refine(params)))
+    for name in sorted(got.keys() | want.keys()):
+        if got.get(name) != want.get(name):
+            raise CheckpointError(f"checkpoint does not match the config at {name!r}: checkpoint has {got.get(name, 'no entry')}, config expects {want.get(name, 'no entry')}")
     return params
 
 

@@ -394,8 +394,19 @@ def reduce_max(x, axis):
 # spatial ops (NCHW)
 
 
+def _phase_cut(n, p, s, a, size):
+    """(input, phase-image) slices along one axis of length n: the inputs i
+    with (i + p) % s == a sit at (i + p) // s, kept while that is < size."""
+    i0 = (a - p) % s
+    q0 = (i0 + p) // s
+    m = max(0, min(size - q0, -(-(n - i0) // s)))
+    return slice(i0, i0 + s * m, s), slice(q0, q0 + m)
+
+
 def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
-    """2-d cross-correlation. Kernel spatial dims must be odd."""
+    """2-d cross-correlation, kernel spatial dims odd. Polyphase flat-row GEMM: the padded
+    input splits into s x s phase images, each flattened to hp*wp; tap (u, v) is one matmul over
+    phase ((u*d) % s, (v*d) % s) at flat offset (u*d // s)*wp + (v*d) // s, into (B, Cout, oh*wp)."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input and OIHW kernel, got {x.data.shape} and {w.data.shape}")
     bsz, cin, h, wd = x.data.shape
@@ -410,33 +421,41 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty: input {x.data.shape}, kernel {w.data.shape}, stride {s}, pad {p}, dilation {d}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    # accumulate in (B, OH, OW, Cout) layout; one transpose at the end
-    acc = np.zeros((bsz, oh, ow, cout), dtype=x.data.dtype)
-    for u in range(k1):
-        for v in range(k2):
-            xs = xp[:, :, u * d : u * d + (oh - 1) * s + 1 : s, v * d : v * d + (ow - 1) * s + 1 : s]
-            acc += np.einsum("bcij,oc->bijo", xs, w.data[:, :, u, v], optimize=True)
-    out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    # the spare phase row keeps every tap slice in bounds; wp - ow wrap columns are dropped
+    hp, wp = oh + d * (k1 - 1) // s + 1, ow + d * (k2 - 1) // s
+    n = oh * wp
+    phases = sorted({(u * d % s, v * d % s) for u in range(k1) for v in range(k2)})
+    cuts = [(_phase_cut(h, p, s, a, hp), _phase_cut(wd, p, s, b, wp)) for a, b in phases]
+    xf = np.zeros((bsz, len(phases), cin, hp, wp), dtype=x.data.dtype)
+    for i, ((ri, rq), (ci, cq)) in enumerate(cuts):
+        xf[:, i, :, rq, cq] = x.data[:, :, ri, ci]
+    xf = xf.reshape(bsz, len(phases), cin, hp * wp)
+    taps = [(u, v, phases.index((u * d % s, v * d % s)), (u * d // s) * wp + v * d // s) for u in range(k1) for v in range(k2)]
+    acc = np.zeros((bsz, cout, n), dtype=x.data.dtype)
+    for u, v, i, off in taps:
+        acc += w.data[:, :, u, v] @ xf[:, i, :, off : off + n]
+    out = np.ascontiguousarray(acc.reshape(bsz, cout, oh, wp)[..., :ow])
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
     inputs = (x, w) if bias is None else (x, w, bias)
 
     def grad_fn(g):
-        gw = np.zeros_like(w.data)
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        for u in range(k1):
-            rows = slice(u * d, u * d + (oh - 1) * s + 1, s)
-            for v in range(k2):
-                cols = slice(v * d, v * d + (ow - 1) * s + 1, s)
-                xs = xp[:, :, rows, cols]
-                gw[:, :, u, v] = np.einsum("boij,bcij->oc", g, xs, optimize=True)
-                if gxp is not None:
-                    gxp[:, :, rows, cols] += np.einsum("boij,oc->bcij", g, w.data[:, :, u, v], optimize=True)
+        gf = np.zeros((bsz, cout, oh, wp), dtype=g.dtype)
+        gf[..., :ow] = g
+        gf = gf.reshape(bsz, cout, n)
+        gw = np.empty_like(w.data)
+        gxf = np.zeros_like(xf) if x.requires_grad else None
+        for u, v, i, off in taps:
+            xs = xf[:, i, :, off : off + n]
+            gw[:, :, u, v] = (gf @ xs.transpose(0, 2, 1)).sum(axis=0)
+            if gxf is not None:
+                gxf[:, i, :, off : off + n] += w.data[:, :, u, v].T @ gf
         gx = None
-        if gxp is not None:
-            gx = gxp[:, :, p : p + h, p : p + wd] if p else gxp
+        if gxf is not None:
+            gx = np.zeros_like(x.data)
+            for i, ((ri, rq), (ci, cq)) in enumerate(cuts):
+                gx[:, :, ri, ci] = gxf.reshape(bsz, len(phases), cin, hp, wp)[:, i, :, rq, cq]
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

@@ -140,5 +140,6 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         save_checkpoint(path, store, seed=2, epoch=2)
     monkeypatch.undo()
     assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.ckpt"]
     ck = load_checkpoint(path)
     assert ck.seed == 1 and ck.epoch == 1

@@ -189,6 +189,20 @@ def test_infer_rejects_non_square_image(tmp_path, capsys):
     assert not (out_dir / "wide_coarse.pgm").exists()
 
 
+def test_checkpoint_config_mismatch_is_data_error(workspace, tmp_path, capsys):
+    # a feat_channels = 8 checkpoint under the default config (16)
+    _, data_dir, run_cfg = workspace
+    ckpt = str(tmp_path / "narrow.ckpt")
+    save_checkpoint(ckpt, init_params(0, NetConfig(feat_channels=8), include_refine=False))
+    image = os.path.join(data_dir, "images", "0000.pgm")
+    out_dir = tmp_path / "infer"
+    assert main(["infer", "--config", run_cfg, "--checkpoint", ckpt, "--images", image, "--out", str(out_dir)]) == EXIT_DATA
+    assert "'cnn.stage1.bn.running_mean'" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(["eval", "--config", run_cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "e")]) == EXIT_DATA
+    assert "does not match the config" in capsys.readouterr().err
+
+
 def test_config_unknown_key_is_data_error(workspace, tmp_path):
     root, _, _ = workspace
     bad = write_file(tmp_path / "bad.cfg", "dataset_dir = .\nwibble = 3\n")

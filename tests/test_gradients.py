@@ -2,7 +2,9 @@
 acceptance module; these are fast structural checks of the harness itself)."""
 
 import numpy as np
+import pytest
 
+from weakbox_kit import tensor as T
 from weakbox_kit.gradcheck import ALL_CHECKS, LOSS_CHECKS, PRIMITIVE_CHECKS, check_instance, finite_diff, run_gradcheck
 from weakbox_kit.synth import rng_from_key
 
@@ -40,3 +42,26 @@ def test_check_instance_deterministic():
     rng1 = rng_from_key(0, "gradcheck", name, 0)
     rng2 = rng_from_key(0, "gradcheck", name, 0)
     assert check_instance(builder, rng1) == check_instance(builder, rng2)
+
+
+# (input HxW, kernel, stride, pad, dilation): the CNN-block skips, the strided
+# encoder and CNN-block convs, the dilated encoder conv, and a 5x5 stride-3 case
+MODEL_CONVS = (((6, 6), 1, 2, 0, 1), ((6, 6), 3, 2, 1, 1), ((5, 5), 3, 1, 2, 2), ((7, 8), 5, 3, 2, 1))
+
+
+@pytest.mark.parametrize("size, k, stride, pad, dilation", MODEL_CONVS)
+def test_conv2d_gradcheck_at_model_configs(size, k, stride, pad, dilation):
+    def builder(rng):
+        x = rng.uniform(-2, 2, (2, 2) + size)
+        w = rng.uniform(-1, 1, (3, 2, k, k))
+        bias = rng.uniform(-1, 1, (3,))
+        out_shape = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, pad=pad, dilation=dilation).data.shape
+        ro = rng.uniform(-1, 1, out_shape)
+
+        def forward(ts):
+            out = T.conv2d(ts[0], ts[1], bias=ts[2], stride=stride, pad=pad, dilation=dilation)
+            return T.tsum(T.mul(out, T.Tensor(ro, dtype=np.float64)))
+
+        return [x, w, bias], forward
+
+    assert check_instance(builder, rng_from_key(0, "gradcheck", "conv2d_model", k, stride)) <= 1e-3

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,47 @@ def test_conv2d_rejects_channel_mismatch():
     with pytest.raises(T.ShapeError) as err:
         T.conv2d(x, k)
     assert "(1, 2, 4, 4)" in str(err.value) and "(1, 3, 3, 3)" in str(err.value)
+
+
+def _conv2d_oracle(x, w, bias, g, stride, pad, dilation):
+    """Direct cross-correlation, one output pixel at a time, in float64.
+    Returns the output and, for upstream gradient g, (gx, gw, gbias)."""
+    s, p, d = stride, pad, dilation
+    k1, k2 = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    oh = (xp.shape[2] - d * (k1 - 1) - 1) // s + 1
+    ow = (xp.shape[3] - d * (k2 - 1) - 1) // s + 1
+    out = np.zeros((x.shape[0], w.shape[0], oh, ow))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(oh):
+        for j in range(ow):
+            rows = slice(i * s, i * s + d * (k1 - 1) + 1, d)
+            cols = slice(j * s, j * s + d * (k2 - 1) + 1, d)
+            out[:, :, i, j] = np.einsum("bcuv,ocuv->bo", xp[:, :, rows, cols], w) + bias
+            gw += np.einsum("bo,bcuv->ocuv", g[:, :, i, j], xp[:, :, rows, cols])
+            gxp[:, :, rows, cols] += np.einsum("bo,ocuv->bcuv", g[:, :, i, j], w)
+    return out, gxp[:, :, p : p + x.shape[2], p : p + x.shape[3]], gw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_conv2d_matches_direct_oracle(dtype, tol):
+    rng = np.random.default_rng(6)
+    configs = itertools.product((1, 2, 3), (0, 1, 2), (1, 2), ((1, 1), (3, 3), (5, 5), (3, 1)), (1, 4))
+    for stride, pad, dilation, (k1, k2), bsz in configs:
+        # non-square, and large enough for the widest dilated 5x5 at pad 0
+        x = rng.uniform(-1, 1, (bsz, 3, 11, 10))
+        w = rng.uniform(-1, 1, (4, 3, k1, k2))
+        bias = rng.uniform(-1, 1, 4)
+        tx, tw, tb = (T.Tensor(a, dtype=dtype, requires_grad=True) for a in (x, w, bias))
+        out = T.conv2d(tx, tw, bias=tb, stride=stride, pad=pad, dilation=dilation)
+        g = rng.uniform(-1, 1, out.data.shape)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g, dtype=dtype))))
+        # the oracle sees the values the kernel saw, rounded to dtype
+        wants = _conv2d_oracle(*(a.astype(dtype).astype(np.float64) for a in (x, w, bias, g)), stride, pad, dilation)
+        for name, got, want in zip(("out", "gx", "gw", "gbias"), (out.data, tx.grad, tw.grad, tb.grad), wants):
+            assert got.dtype == dtype and got.shape == want.shape, (name, stride, pad, dilation, k1, k2, bsz)
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= tol, (name, stride, pad, dilation, k1, k2, bsz, err)
 
 
 def test_maxpool_single_window():
