@@ -7,8 +7,10 @@ from .boxes import (
     EmptyMaskError,
     backproject_max,
     backproject_min,
+    batch_mask_to_box,
     box_coords,
     center_status,
+    decide_branches,
     gt_box_mask,
     mask_to_box,
     min_gap_box,

@@ -6,6 +6,11 @@ either the element-wise min of the back-projected profiles (single compact
 object) or the cross-band union minus a centered gap rectangle (multiple
 separated objects). All projection/back-projection steps are differentiable
 when given a Tensor; the gap rectangle is a constant geometric construction.
+
+`project` and the back-projections act on the last two axes, so they take a
+single (H, W) mask or an (N, H, W) stack. `mask_to_box` transforms one mask;
+`batch_mask_to_box` transforms a whole stack in one pass, deciding each
+sample's branch in numpy first.
 """
 
 import enum
@@ -48,8 +53,8 @@ class BoxCoords:
 
 
 class Projection(NamedTuple):
-    width_profile: MaskLike  # per-column maxima, length W
-    height_profile: MaskLike  # per-row maxima, length H
+    width_profile: MaskLike  # per-column maxima, shape (..., W)
+    height_profile: MaskLike  # per-row maxima, shape (..., H)
 
 
 def _raw(mask):
@@ -57,27 +62,28 @@ def _raw(mask):
 
 
 def project(mask: MaskLike) -> Projection:
-    """Per-axis maxima of a 2-d mask; differentiable for Tensor input."""
+    """Per-axis maxima of an (H, W) mask or an (N, H, W) stack; differentiable
+    for Tensor input."""
+    ndim = _raw(mask).ndim
+    if ndim not in (2, 3):
+        raise T.ShapeError(f"project expects an (H, W) mask or an (N, H, W) stack, got shape {_raw(mask).shape}")
     if isinstance(mask, T.Tensor):
-        if mask.data.ndim != 2:
-            raise T.ShapeError(f"project expects a 2-d mask, got shape {mask.data.shape}")
-        return Projection(T.reduce_max(mask, axis=0), T.reduce_max(mask, axis=1))
+        return Projection(T.reduce_max(mask, axis=ndim - 2), T.reduce_max(mask, axis=ndim - 1))
     arr = np.asarray(mask)
-    if arr.ndim != 2:
-        raise T.ShapeError(f"project expects a 2-d mask, got shape {arr.shape}")
-    return Projection(arr.max(axis=0), arr.max(axis=1))
+    return Projection(arr.max(axis=-2), arr.max(axis=-1))
 
 
 def _outer(proj: Projection, combine_t, combine_np):
+    """Combine every row profile entry with every column profile entry; the
+    combining op broadcasts (..., 1, W) against (..., H, 1)."""
     pw, ph = proj
     if isinstance(pw, T.Tensor) or isinstance(ph, T.Tensor):
         pw = T.as_tensor(pw)
         ph = T.as_tensor(ph)
-        h, w = ph.data.shape[0], pw.data.shape[0]
-        rows = T.broadcast_to(T.reshape(ph, (h, 1)), (h, w))
-        cols = T.broadcast_to(T.reshape(pw, (1, w)), (h, w))
+        cols = T.reshape(pw, pw.data.shape[:-1] + (1, pw.data.shape[-1]))
+        rows = T.reshape(ph, ph.data.shape + (1,))
         return combine_t(cols, rows)
-    return combine_np(np.asarray(pw)[None, :], np.asarray(ph)[:, None])
+    return combine_np(np.asarray(pw)[..., None, :], np.asarray(ph)[..., :, None])
 
 
 def backproject_min(proj: Projection) -> MaskLike:
@@ -157,9 +163,49 @@ def mask_to_box(mask: MaskLike, threshold: float = 0.5):
             box = T.clamp(T.sub(band, T.Tensor(gap, dtype=band.data.dtype)), 0.0, 1.0)
         else:
             box = np.clip(band - gap, 0.0, 1.0)
-    if isinstance(box, T.Tensor):
-        box.meta["branch"] = status.status
     return box, status
+
+
+def decide_branches(masks: np.ndarray, threshold: float = 0.5):
+    """Branch decision for an (N, H, W) stack, one sample at a time in numpy.
+
+    Returns a boolean (N,) foreground mark and the (N, H, W) gap rectangles,
+    zero except on background-centered samples. A sample with no pixel at the
+    threshold has no centroid; it takes the foreground path.
+    """
+    masks = np.asarray(masks)
+    foreground = np.ones(len(masks), dtype=bool)
+    gaps = np.zeros_like(masks)
+    for i, mask in enumerate(masks):
+        try:
+            status = center_status(mask, threshold)
+        except EmptyMaskError:
+            continue
+        if status.status is Center.BACKGROUND:
+            foreground[i] = False
+            gaps[i] = min_gap_box(mask, status.centroid, threshold)
+    return foreground, gaps
+
+
+def batch_mask_to_box(masks: T.Tensor, threshold: float = 0.5):
+    """Box supervision masks for an (N, H, W) stack in one pass.
+
+    Both branch transforms run on the whole stack from one projection; a
+    per-sample {0, 1} selector keeps the min back-projection for foreground
+    (and empty) samples and the clamped cross-band union minus the gap for
+    background ones. Returns the (N, H, W) box Tensor and the (N,) foreground
+    mark from `decide_branches`.
+    """
+    if masks.data.ndim != 3:
+        raise T.ShapeError(f"batch_mask_to_box expects an (N, H, W) stack, got shape {masks.data.shape}")
+    foreground, gaps = decide_branches(masks.data, threshold)
+    dt = masks.data.dtype
+    proj = project(masks)
+    box_fg = backproject_min(proj)
+    box_bg = T.clamp(T.sub(backproject_max(proj), T.Tensor(gaps, dtype=dt)), 0.0, 1.0)
+    keep = foreground.astype(dt)[:, None, None]
+    box = T.add(T.mul(box_fg, T.Tensor(keep, dtype=dt)), T.mul(box_bg, T.Tensor(1.0 - keep, dtype=dt)))
+    return box, foreground
 
 
 def box_coords(box_mask: MaskLike, threshold: float = 0.5) -> BoxCoords:

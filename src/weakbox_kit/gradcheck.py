@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .boxes import Center, CenterStatus, mask_to_box
+from .boxes import batch_mask_to_box
+from .config import RunConfig
 from .losses import LossConfig, Phase, bce_loss, branch_loss, detail_refine_loss, dice_loss, mm2b_loss, sc_loss, total_loss
+from .pipeline import loss_config, weak_loss
 from .synth import rng_from_key
 
 DEFAULT_STEP = 1e-3
@@ -211,6 +213,16 @@ def _b_mean(rng):
     return [a], lambda ts: T.tmean(ts[0])
 
 
+def _axis_builder(op):
+    def build(rng):
+        a = rng.uniform(-2, 2, (2, 3, 4))
+        axis = ((-2, -1), 0, 2)[int(rng.integers(3))]
+        w = _readout(rng, np.sum(a, axis=axis).shape)
+        return [a], lambda ts: _weighted(op(ts[0], axis=axis), w)
+
+    return build
+
+
 def _b_reduce_max(rng):
     a = _distinct(rng, (5, 6))
     axis = int(rng.integers(2))
@@ -319,30 +331,34 @@ def _bg_soft_mask(rng):
     return grid
 
 
-def _b_mm2b_fg(rng):
-    p = _fg_soft_mask(rng)
-    target = np.zeros((6, 6))
-    target[2:5, 2:5] = 1.0
-    cfg = LossConfig(beta=1.5)
+def _empty_soft_mask(rng):
+    """6x6 mask with no pixel at the threshold: the empty-fallback case."""
+    return _distinct(rng, (36,), lo=0.02, hi=0.45).reshape(6, 6)
+
+
+def _mixed_batch(rng):
+    """(3, 6, 6) stack of a foreground-, a background-centered and an empty
+    mask, with a weak box for each."""
+    masks = np.stack([_fg_soft_mask(rng), _bg_soft_mask(rng), _empty_soft_mask(rng)])
+    boxes = np.zeros((3, 6, 6))
+    boxes[0, 2:5, 2:5] = 1.0
+    boxes[1] = 1.0
+    boxes[2, 1:4, 0:3] = 1.0
+    return masks, boxes
+
+
+_MIXED_WEIGHTS = dict(beta=1.5, gamma=0.7)
+
+
+def _b_mm2b(rng):
+    p, target = _mixed_batch(rng)
+    cfg = LossConfig(**_MIXED_WEIGHTS)
+    w = _readout(rng, (3,))
 
     def forward(ts):
-        box, status = mask_to_box(ts[0])
-        assert status.status is Center.FOREGROUND
-        return mm2b_loss(box, target, status, cfg)
-
-    return [p], forward
-
-
-def _b_mm2b_bg(rng):
-    p = _bg_soft_mask(rng)
-    target = np.zeros((6, 6))
-    target[0:6, 0:6] = 1.0
-    cfg = LossConfig(gamma=0.7)
-
-    def forward(ts):
-        box, status = mask_to_box(ts[0])
-        assert status.status is Center.BACKGROUND
-        return mm2b_loss(box, target, status, cfg)
+        box, foreground = batch_mask_to_box(ts[0])
+        assert foreground.tolist() == [True, False, True]
+        return _weighted(mm2b_loss(box, target, foreground, cfg), w)
 
     return [p], forward
 
@@ -363,19 +379,12 @@ def _b_detail_refine(rng):
 
 
 def _b_total_weak(rng):
-    p = _fg_soft_mask(rng)
-    q = _soft_mask(rng, (6, 6))
-    q = np.where(np.abs(p - q) < 0.02, q + 0.04, q)
-    target = np.zeros((6, 6))
-    target[2:5, 2:5] = 1.0
-
-    def forward(ts):
-        box, status = mask_to_box(ts[0])
-        l_box = mm2b_loss(box, target, status)
-        l_sc = sc_loss(ts[0], ts[1], target)
-        return total_loss(Phase.WEAK, mm2b=l_box, sc=l_sc)
-
-    return [p, q], forward
+    p, boxes = _mixed_batch(rng)
+    # the second scale sits 0.03 above the first: off the |a - b| kink, and no
+    # pixel crosses the threshold, so both scales take the same branches
+    cfg = RunConfig(**_MIXED_WEIGHTS)
+    lcfg = loss_config(cfg)
+    return [p[:, None], p[:, None] + 0.03], lambda ts: weak_loss(ts[0], ts[1], list(boxes), cfg, lcfg)
 
 
 def _b_total_refine(rng):
@@ -403,6 +412,8 @@ PRIMITIVE_CHECKS = (
     ("clamp", _b_clamp),
     ("sum", _b_sum),
     ("mean", _b_mean),
+    ("sum_axis", _axis_builder(T.tsum)),
+    ("mean_axis", _axis_builder(T.tmean)),
     ("reduce_max", _b_reduce_max),
     ("conv2d", _b_conv2d),
     ("maxpool2d", _b_maxpool2d),
@@ -415,8 +426,7 @@ LOSS_CHECKS = (
     ("loss_bce", _b_bce),
     ("loss_dice", _b_dice),
     ("loss_branch", _b_branch),
-    ("loss_mm2b_foreground", _b_mm2b_fg),
-    ("loss_mm2b_background", _b_mm2b_bg),
+    ("loss_mm2b", _b_mm2b),
     ("loss_sc", _b_sc),
     ("loss_detail_refine", _b_detail_refine),
     ("loss_total_weak", _b_total_weak),

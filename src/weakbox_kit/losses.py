@@ -2,8 +2,9 @@
 
 The weak-phase objective combines a branch-dispatched box loss with a
 scale-consistency term; the refine phase uses a Dice/cross-entropy mix
-against real masks. Every loss returns a scalar Tensor on the tape of its
-prediction inputs.
+against real masks. Every loss reduces over the last two (H, W) axes, on
+the tape of its prediction inputs: an (H, W) prediction gives a scalar
+Tensor and an (N, H, W) stack gives one value per sample, shape (N,).
 """
 
 import enum
@@ -12,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .boxes import Center, CenterStatus, EmptyMaskError
+from .boxes import EmptyMaskError
+
+_HW = (-2, -1)  # the per-sample (H, W) axes every loss reduces over
 
 
 @dataclass
@@ -45,14 +48,14 @@ def _check_shapes(pred, target, op):
 
 
 def bce_loss(pred, target, clamp_eps: float = 1e-7):
-    """Mean binary cross-entropy; predictions are clamped away from {0, 1}."""
+    """Per-sample mean binary cross-entropy; predictions are clamped away from {0, 1}."""
     _check_shapes(pred, target, "bce_loss")
     pred = T.as_tensor(pred)
     y = np.asarray(target, dtype=pred.data.dtype)
     p = T.clamp(pred, clamp_eps, 1.0 - clamp_eps)
     yt = T.Tensor(y, dtype=pred.data.dtype)
     term = T.add(T.mul(yt, T.tlog(p)), T.mul(T.affine(yt, -1.0, 1.0), T.tlog(T.affine(p, -1.0, 1.0))))
-    return T.affine(T.tmean(term), -1.0, 0.0)
+    return T.affine(T.tmean(term, axis=_HW), -1.0, 0.0)
 
 
 def dice_loss(pred, target, smooth_eps: float = 1.0):
@@ -61,10 +64,10 @@ def dice_loss(pred, target, smooth_eps: float = 1.0):
     pred = T.as_tensor(pred)
     y = np.asarray(target, dtype=pred.data.dtype)
     yt = T.Tensor(y, dtype=pred.data.dtype)
-    inter = T.tsum(T.mul(pred, yt))
-    target_sum = float(y.sum(dtype=np.float64))
+    inter = T.tsum(T.mul(pred, yt), axis=_HW)
+    target_sum = y.sum(axis=_HW, dtype=np.float64)
     num = T.affine(inter, 2.0, smooth_eps)
-    den = T.affine(T.tsum(pred), 1.0, target_sum + smooth_eps)
+    den = T.add(T.tsum(pred, axis=_HW), T.Tensor(target_sum + smooth_eps, dtype=pred.data.dtype))
     return T.affine(T.div(num, den), -1.0, 1.0)
 
 
@@ -76,38 +79,36 @@ def branch_loss(pred_box, target_box, cfg: LossConfig | None = None):
     return T.affine(T.add(b, d), 0.5, 0.0)
 
 
-def mm2b_loss(pred_box, target_box, status: CenterStatus, cfg: LossConfig | None = None):
-    """Branch-weighted box loss for one sample.
+def mm2b_loss(pred_box, target_box, foreground, cfg: LossConfig | None = None):
+    """Branch-weighted box loss.
 
-    The sample's transform took either the foreground or the background path;
-    the matching branch weight (beta or gamma) scales the branch loss. A box
-    tagged with a different branch than `status` is rejected.
+    `foreground` marks, per sample, the path the box transform took (a bool
+    for an (H, W) box, an (N,) bool array for a stack, as `batch_mask_to_box`
+    returns it): the branch loss is scaled by beta where it is set and by
+    gamma where it is not.
     """
     cfg = cfg or LossConfig()
-    if isinstance(pred_box, T.Tensor):
-        tagged = pred_box.meta.get("branch")
-        if tagged is not None and tagged is not status.status:
-            raise ValueError(f"branch mismatch: box was produced by the {tagged.value} path but status says {status.status.value}")
-    weight = cfg.beta if status.status is Center.FOREGROUND else cfg.gamma
-    return T.affine(branch_loss(pred_box, target_box, cfg), weight, 0.0)
+    loss = branch_loss(pred_box, target_box, cfg)
+    weight = np.where(foreground, cfg.beta, cfg.gamma)
+    return T.mul(loss, T.Tensor(weight, dtype=loss.data.dtype))
 
 
 def sc_loss(pred_a, pred_b, box: np.ndarray):
-    """Mean absolute prediction gap inside the box region.
+    """Per-sample mean absolute prediction gap inside the box region.
 
     Both predictions must already be at the box's resolution.
     """
     _check_shapes(pred_a, box, "sc_loss")
     _check_shapes(pred_b, box, "sc_loss")
     box = np.asarray(box)
-    total = float(box.sum(dtype=np.float64))
-    if total == 0:
+    total = box.sum(axis=_HW, dtype=np.float64)
+    if np.any(total == 0):
         raise EmptyMaskError("sc_loss: box region is empty")
     pa = T.as_tensor(pred_a)
     pb = T.as_tensor(pred_b)
     gap = T.tabs(T.sub(pa, pb))
     masked = T.mul(gap, T.Tensor(box, dtype=pa.data.dtype))
-    return T.affine(T.tsum(masked), 1.0 / total, 0.0)
+    return T.mul(T.tsum(masked, axis=_HW), T.Tensor(1.0 / total, dtype=pa.data.dtype))
 
 
 def detail_refine_loss(refined_prob, gt_mask, cfg: LossConfig | None = None):

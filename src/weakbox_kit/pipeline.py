@@ -19,16 +19,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from . import tensor as T
-from .boxes import (
-    Center,
-    CenterStatus,
-    EmptyMaskError,
-    backproject_min,
-    box_coords,
-    gt_box_mask,
-    mask_to_box,
-    project,
-)
+from .boxes import EmptyMaskError, batch_mask_to_box, box_coords, gt_box_mask, mask_to_box
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import LossConfig, Phase, branch_loss, detail_refine_loss, mm2b_loss, sc_loss, total_loss
@@ -82,19 +73,6 @@ def augment_pair(image, mask, rng):
     return np.ascontiguousarray(image), np.ascontiguousarray(mask)
 
 
-def box_for_loss(prob_plane, threshold=0.5):
-    """Mask-to-box of a live prediction, with a foreground-path fallback when
-    nothing clears the threshold yet (early training)."""
-    try:
-        return mask_to_box(prob_plane, threshold)
-    except EmptyMaskError:
-        box = backproject_min(project(prob_plane))
-        peak = np.unravel_index(int(np.argmax(prob_plane.data)), box.data.shape)
-        status = CenterStatus(status=Center.FOREGROUND, centroid=(int(peak[0]), int(peak[1])))
-        box.meta["branch"] = status.status
-        return box, status
-
-
 def prompt_from_probability(prob_plane_np, threshold=0.5):
     """Box prompt coordinates from a prediction's mask-to-box output."""
     try:
@@ -104,29 +82,35 @@ def prompt_from_probability(prob_plane_np, threshold=0.5):
         return None
 
 
+def weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
+    """Box-supervised loss of one batch of (B, 1, H, W) two-scale predictions
+    against the weak boxes (at scale1 frame), averaged over the batch.
+
+    Both scales are stacked into one (2B, H, W) batch against the tiled boxes,
+    so the box transform and the box loss run once; a sample's box term is the
+    mean of its two scales' terms.
+    """
+    n, _, h, w = prob_a.data.shape
+    p_a = T.reshape(prob_a, (n, h, w))
+    p_b = T.reshape(prob_b_up, (n, h, w))
+    weak = np.stack(weak_boxes)
+    both = T.concat([p_a, p_b], axis=0)
+    weak2 = np.concatenate([weak, weak])
+    if cfg.supervision == "fullbox":
+        # naive baseline: pretend the box mask is the segmentation target
+        l_box = branch_loss(both, weak2, lcfg)
+    else:
+        box, foreground = batch_mask_to_box(both)
+        l_box = mm2b_loss(box, weak2, foreground, lcfg)
+    l_sc = T.tmean(sc_loss(p_a, p_b, weak)) if cfg.use_sc else T.Tensor(0.0, dtype=np.float32)
+    return total_loss(Phase.WEAK, mm2b=T.tmean(l_box), sc=l_sc)
+
+
 def weak_batch_loss(params, images_np, weak_boxes, cfg, ncfg, lcfg, training=True):
     """Box-supervised loss over one batch; weak_boxes are at scale1 frame."""
     x = T.Tensor(images_np, dtype=np.float32)
     out = two_scale_forward(params, x, prompt_from_probability, training, ncfg, cfg.use_cnn_gate)
-    n = images_np.shape[0]
-    total = None
-    for b in range(n):
-        p_a = T.plane(out.prob_a, b, 0)
-        p_b = T.plane(out.prob_b_up, b, 0)
-        weak = weak_boxes[b]
-        if cfg.supervision == "fullbox":
-            # naive baseline: pretend the box mask is the segmentation target
-            l_box = T.affine(T.add(branch_loss(p_a, weak, lcfg), branch_loss(p_b, weak, lcfg)), 0.5, 0.0)
-        else:
-            box_a, st_a = box_for_loss(p_a)
-            box_b, st_b = box_for_loss(p_b)
-            l_box = T.affine(
-                T.add(mm2b_loss(box_a, weak, st_a, lcfg), mm2b_loss(box_b, weak, st_b, lcfg)), 0.5, 0.0
-            )
-        l_sc = sc_loss(p_a, p_b, weak) if cfg.use_sc else T.Tensor(0.0, dtype=np.float32)
-        sample_loss = total_loss(Phase.WEAK, mm2b=l_box, sc=l_sc)
-        total = sample_loss if total is None else T.add(total, sample_loss)
-    return T.affine(total, 1.0 / n, 0.0)
+    return weak_loss(out.prob_a, out.prob_b_up, weak_boxes, cfg, lcfg)
 
 
 def _check_scale1(shape, scale1):
@@ -266,11 +250,9 @@ def train_refine(cfg: RunConfig) -> TrainResult:
             c = T.Tensor(np.stack(coarse), dtype=np.float32)
             out = detail_refine_forward(params, c, x, training=True)
             prob = T.sigmoid(out.refined)
-            batch_loss = None
-            for b in range(len(picks)):
-                l = detail_refine_loss(T.plane(prob, b, 0), gts[b], lcfg)
-                batch_loss = l if batch_loss is None else T.add(batch_loss, l)
-            loss = total_loss(Phase.REFINE, refine=T.affine(batch_loss, 1.0 / len(picks), 0.0))
+            gt = np.stack(gts)
+            per_sample = detail_refine_loss(T.reshape(prob, gt.shape), gt, lcfg)
+            loss = total_loss(Phase.REFINE, refine=T.tmean(per_sample))
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericError(f"non-finite refine loss at epoch {epoch}, batch {lo // cfg.batch_size}")

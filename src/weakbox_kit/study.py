@@ -3,10 +3,14 @@ consistency, and box-transform supervision vs a naive full-box baseline.
 
 Per seed, four weak-phase variants and a refiner train on single-object
 data; they are scored on the held-out split and on a separate two-object
-dataset. `run_seed` returns one row per seed, `verdicts` aggregates rows.
+dataset. `run_seed` returns one row per seed, `run_seeds` runs several
+(optionally in worker processes), `verdicts` aggregates rows.
 """
 
+import contextlib
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -77,6 +81,41 @@ def run_seed(seed, root, epochs, refine_epochs):
         "dsc_multi_mm2b": m_multi["dsc"],
         "dsc_multi_fullbox": m_multi_box["dsc"],
     }
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_threaded_children():
+    """Pin BLAS to one thread in processes spawned inside the block; the
+    variables must be set before a worker first imports numpy."""
+    saved = {name: os.environ.get(name) for name in _THREAD_VARS}
+    os.environ.update({name: "1" for name in _THREAD_VARS})
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def run_seeds(seeds, root, epochs, refine_epochs, jobs=1):
+    """Rows of `run_seed` for each seed, in seed order.
+
+    With jobs > 1 the seeds run in up to min(jobs, os.cpu_count()) spawned
+    worker processes, each with single-threaded BLAS. A seed shares no state
+    with another, so the rows equal the serial ones.
+    """
+    seeds = list(seeds)
+    workers = min(jobs, os.cpu_count() or 1, len(seeds))
+    if workers <= 1:
+        return [run_seed(seed, root, epochs, refine_epochs) for seed in seeds]
+    with _single_threaded_children(), ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(run_seed, seed, root, epochs, refine_epochs) for seed in seeds]
+        return [f.result() for f in futures]
 
 
 def format_row(row):

@@ -3,7 +3,7 @@
 Only the operator set needed by the box-supervised training pipeline is
 implemented: elementwise arithmetic, min/max with deterministic tie routing,
 axis reductions, conv/pool/resize/batchnorm, and a handful of pointwise
-nonlinearities. Values are float32 by default; scalar reductions accumulate
+nonlinearities. Values are float32 by default; sums and means accumulate
 in float64 before casting back. Gradient routing through max-like ops always
 picks the first winner in row-major scan order.
 """
@@ -90,7 +90,8 @@ def as_tensor(value, dtype=None):
 
 
 def _wrap(out_data, inputs, grad_fn, meta=None):
-    """Wrap an op result; records a tape node iff any input is tracked."""
+    """Wrap an op result; records a tape node iff any input is tracked. The
+    grad function may return None for an input that needs no gradient."""
     out_data = np.asarray(out_data)
     requires = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -157,9 +158,10 @@ def backward(loss):
         for t, g in zip(node.inputs, grads):
             if g is None or not t.requires_grad:
                 continue
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad = t.grad + g.astype(t.data.dtype, copy=False)
+            g = g.astype(t.data.dtype, copy=False)
+            # the first gradient is stored as is and may alias another tensor's;
+            # safe because no gradient array is ever written in place
+            t.grad = g if t.grad is None else t.grad + g
     for node in nodes.values():
         node.out._node = None
 
@@ -181,7 +183,7 @@ def sub(a, b):
     out = a.data - b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape) if b.requires_grad else None
 
     return _wrap(out, (a, b), grad_fn)
 
@@ -191,8 +193,8 @@ def mul(a, b):
 
     def grad_fn(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _wrap(out, (a, b), grad_fn)
@@ -202,8 +204,8 @@ def div(a, b):
     out = a.data / b.data
 
     def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return _wrap(out, (a, b), grad_fn)
@@ -228,8 +230,8 @@ def minimum(a, b):
 
     def grad_fn(g):
         return (
-            _unbroadcast(np.where(take_a, g, 0.0), a.data.shape),
-            _unbroadcast(np.where(take_a, 0.0, g), b.data.shape),
+            _unbroadcast(np.where(take_a, g, 0.0), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(np.where(take_a, 0.0, g), b.data.shape) if b.requires_grad else None,
         )
 
     return _wrap(out, (a, b), grad_fn)
@@ -242,8 +244,8 @@ def maximum(a, b):
 
     def grad_fn(g):
         return (
-            _unbroadcast(np.where(take_a, g, 0.0), a.data.shape),
-            _unbroadcast(np.where(take_a, 0.0, g), b.data.shape),
+            _unbroadcast(np.where(take_a, g, 0.0), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(np.where(take_a, 0.0, g), b.data.shape) if b.requires_grad else None,
         )
 
     return _wrap(out, (a, b), grad_fn)
@@ -357,21 +359,31 @@ def clamp(x, lo, hi):
 # reductions
 
 
-def tsum(x):
-    out = np.asarray(x.data.sum(dtype=np.float64), dtype=x.data.dtype)
+def _spread(g, x, axis):
+    """Broadcast a reduction's gradient back over the reduced axes of x."""
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True)
+
+
+def tsum(x, axis=None):
+    """Sum over `axis` (an int or tuple; every axis when None)."""
+    out = np.asarray(x.data.sum(axis=axis, dtype=np.float64), dtype=x.data.dtype)
 
     def grad_fn(g):
-        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True),)
+        return (_spread(g, x, axis),)
 
     return _wrap(out, (x,), grad_fn)
 
 
-def tmean(x):
-    n = x.data.size
-    out = np.asarray(x.data.sum(dtype=np.float64) / n, dtype=x.data.dtype)
+def tmean(x, axis=None):
+    """Mean over `axis` (an int or tuple; every axis when None)."""
+    total = x.data.sum(axis=axis, dtype=np.float64)
+    n = x.data.size // np.size(total)
+    out = np.asarray(total / n, dtype=x.data.dtype)
 
     def grad_fn(g):
-        return (np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype, copy=True),)
+        return (_spread(g / n, x, axis),)
 
     return _wrap(out, (x,), grad_fn)
 

@@ -7,6 +7,7 @@ suite's runtime.
 
 import dataclasses
 import math
+import os
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from weakbox_kit.losses import LossConfig, bce_loss, detail_refine_loss, dice_lo
 from weakbox_kit.metrics import confusion_counts, dsc_miou, hd95
 from weakbox_kit.pipeline import evaluate, net_config, predict_batch, split_dataset, train_weak
 from weakbox_kit.reports import write_metrics_report
-from weakbox_kit.study import format_row, run_seed, verdicts
+from weakbox_kit.study import format_row, run_seeds, verdicts
 from weakbox_kit.synth import DatasetSpec, generate_dataset, load_dataset, make_sample, save_dataset
 
 
@@ -225,10 +226,9 @@ TREND_SEEDS = tuple(range(1, 11))
 @pytest.fixture(scope="session")
 def trend_results(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("trend"))
-    rows = []
-    for seed in TREND_SEEDS:
-        rows.append(run_seed(seed, root, epochs=25, refine_epochs=40))
-        print(f"  trend {format_row(rows[-1])}")
+    rows = run_seeds(TREND_SEEDS, root, epochs=25, refine_epochs=40, jobs=min(4, os.cpu_count() or 1))
+    for row in rows:
+        print(f"  trend {format_row(row)}")
     return rows
 
 

@@ -10,6 +10,7 @@ from weakbox_kit.boxes import (
     EmptyMaskError,
     backproject_max,
     backproject_min,
+    batch_mask_to_box,
     box_coords,
     center_status,
     gt_box_mask,
@@ -281,11 +282,38 @@ def test_mask_to_box_idempotent_on_solid_rectangle():
     assert np.array_equal(box1, box2)
 
 
-def test_mask_to_box_tensor_tagged_with_branch():
-    g = np.zeros((6, 6), dtype=np.float32)
-    g[2:4, 2:4] = 1.0
-    box, status = mask_to_box(T.Tensor(g, requires_grad=True))
-    assert box.meta["branch"] is status.status is Center.FOREGROUND
+def test_batch_mask_to_box_matches_mask_to_box_per_plane():
+    # a stack mixing foreground-, background-centered and empty masks: every
+    # plane gets what mask_to_box gives it alone, and an empty plane the
+    # foreground path
+    rng = np.random.default_rng(6)
+    two_blobs = np.zeros((12, 12), dtype=np.float32)
+    two_blobs[0:3, 0:3] = 1.0
+    two_blobs[8:12, 8:12] = 1.0
+    empty = rng.uniform(0.0, 0.4, (12, 12)).astype(np.float32)
+    sparse = [(rng.uniform(0, 1, (12, 12)) < d).astype(np.float32) for d in (0.03, 0.1, 0.2, 0.4)]
+    stack = np.stack([two_blobs, empty] + sparse) * rng.uniform(0.5, 1.0, (6, 12, 12)).astype(np.float32)
+    box, foreground = batch_mask_to_box(T.Tensor(stack))
+    assert foreground.tolist()[:2] == [False, True]
+    for b, plane in enumerate(stack):
+        try:
+            want, status = mask_to_box(plane)
+            assert foreground[b] == (status.status is Center.FOREGROUND)
+        except EmptyMaskError:
+            want = backproject_min(project(plane))
+            assert foreground[b]
+        assert np.array_equal(box.data[b], want), b
+
+
+def test_project_stack_is_per_plane():
+    stack = np.random.default_rng(7).uniform(0, 1, (3, 5, 4)).astype(np.float32)
+    pw, ph = project(T.Tensor(stack))
+    for b in range(3):
+        w_b, h_b = project(stack[b])
+        assert np.array_equal(pw.data[b], w_b) and np.array_equal(ph.data[b], h_b)
+    assert np.array_equal(backproject_max(project(stack))[1], backproject_max(project(stack[1])))
+    with pytest.raises(T.ShapeError):
+        project(np.zeros((2, 2, 2, 2), dtype=np.float32))
 
 
 # --- coords and rasterization ----------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakbox_kit import tensor as T
-from weakbox_kit.boxes import Center, CenterStatus, EmptyMaskError, mask_to_box
+from weakbox_kit.boxes import EmptyMaskError
 from weakbox_kit.losses import (
     LossConfig,
     Phase,
@@ -99,36 +99,49 @@ def test_mm2b_loss_weights_by_branch():
     box = np.zeros((6, 6), dtype=np.float32)
     box[1:5, 1:5] = 1.0
     pred = np.clip(box * 0.9 + 0.05, 0, 1).astype(np.float32)
-    fg = CenterStatus(status=Center.FOREGROUND, centroid=(3, 3))
-    bg = CenterStatus(status=Center.BACKGROUND, centroid=(3, 3))
     base = branch_loss(T.as_tensor(pred), box).item()
     cfg = LossConfig(beta=2.0, gamma=0.5)
-    assert abs(mm2b_loss(T.as_tensor(pred), box, fg, cfg).item() - 2.0 * base) < 1e-6
-    assert abs(mm2b_loss(T.as_tensor(pred), box, bg, cfg).item() - 0.5 * base) < 1e-6
-
-
-def test_mm2b_loss_rejects_branch_mismatch():
-    g = np.zeros((6, 6), dtype=np.float32)
-    g[2:4, 2:4] = 1.0
-    box, status = mask_to_box(T.Tensor(g, requires_grad=True))
-    wrong = CenterStatus(status=Center.BACKGROUND, centroid=status.centroid)
-    with pytest.raises(ValueError, match="branch mismatch"):
-        mm2b_loss(box, g, wrong)
+    assert abs(mm2b_loss(T.as_tensor(pred), box, True, cfg).item() - 2.0 * base) < 1e-6
+    assert abs(mm2b_loss(T.as_tensor(pred), box, False, cfg).item() - 0.5 * base) < 1e-6
 
 
 def test_mm2b_loss_mixed_batch_mean():
     rng = np.random.default_rng(2)
     cfg = LossConfig(beta=1.3, gamma=0.6)
-    values = []
-    for status in (Center.FOREGROUND, Center.BACKGROUND):
-        pred = rng.uniform(0.05, 0.95, (5, 5)).astype(np.float32)
-        target = (rng.uniform(0, 1, (5, 5)) > 0.5).astype(np.float32)
-        weight = cfg.beta if status is Center.FOREGROUND else cfg.gamma
-        ref = weight * branch_loss(T.as_tensor(pred), target, cfg).item()
-        ours = mm2b_loss(T.as_tensor(pred), target, CenterStatus(status, (2, 2)), cfg).item()
-        assert abs(ours - ref) < 1e-6
-        values.append(ours)
-    assert abs(np.mean(values) - (values[0] + values[1]) / 2) < 1e-12
+    pred = rng.uniform(0.05, 0.95, (2, 5, 5)).astype(np.float32)
+    target = (rng.uniform(0, 1, (2, 5, 5)) > 0.5).astype(np.float32)
+    values = mm2b_loss(T.as_tensor(pred), target, np.array([True, False]), cfg)
+    assert values.data.shape == (2,)
+    for b, weight in enumerate((cfg.beta, cfg.gamma)):
+        ref = weight * branch_loss(T.as_tensor(pred[b]), target[b], cfg).item()
+        assert abs(values.data[b] - ref) < 1e-6
+    mean = T.tmean(values).item()
+    assert abs(mean - (values.data[0] + values.data[1]) / 2) < 1e-7
+
+
+def _per_plane(loss, *arrays):
+    return np.array([loss(*[a[b] for a in arrays]).item() for b in range(len(arrays[0]))])
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda p, y: bce_loss(T.as_tensor(p), y),
+        lambda p, y: dice_loss(T.as_tensor(p), y),
+        lambda p, y: branch_loss(T.as_tensor(p), y),
+        lambda p, y: detail_refine_loss(T.as_tensor(p), y),
+        lambda p, y: sc_loss(T.as_tensor(p), T.as_tensor(np.flip(p, -1)), y),
+    ],
+    ids=["bce", "dice", "branch", "detail_refine", "sc"],
+)
+def test_loss_on_stack_equals_per_plane_loop(loss):
+    # an (N, H, W) stack reduces per sample, to the values of one call per plane
+    rng = np.random.default_rng(8)
+    pred = rng.uniform(0.02, 0.98, (5, 7, 6)).astype(np.float32)
+    target = (rng.uniform(0, 1, (5, 7, 6)) > 0.5).astype(np.float32)
+    stacked = loss(pred, target)
+    assert stacked.data.shape == (5,)
+    assert np.allclose(stacked.data, _per_plane(loss, pred, target), rtol=0, atol=1e-6)
 
 
 def test_sc_loss_identical_predictions():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from weakbox_kit import tensor as T
-from weakbox_kit.boxes import BoxCoords
+from weakbox_kit.boxes import BoxCoords, Center, EmptyMaskError, backproject_min, decide_branches, mask_to_box, project
 from weakbox_kit.checkpoint import load_checkpoint
 from weakbox_kit.config import RunConfig
+from weakbox_kit.losses import Phase, branch_loss, sc_loss, total_loss
 from weakbox_kit.nets import init_params, scale_coords, single_scale_forward
 from weakbox_kit.pipeline import (
     augment_pair,
@@ -14,6 +15,7 @@ from weakbox_kit.pipeline import (
     evaluate,
     evaluate_predictions,
     mean_metrics,
+    loss_config,
     net_config,
     predict_batch,
     prompt_from_probability,
@@ -21,6 +23,7 @@ from weakbox_kit.pipeline import (
     split_dataset,
     train_refine,
     train_weak,
+    weak_loss,
 )
 from weakbox_kit.synth import DatasetSpec, generate_dataset, load_dataset, rng_from_key
 
@@ -354,3 +357,79 @@ def test_cli_maps_numeric_failure_to_exit_3(tiny_dataset_dir, tmp_path, monkeypa
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"dataset_dir = {tiny_dataset_dir}\nepochs = 1\n")
     assert cli.main(["train-weak", "--config", str(cfg_path)]) == 3
+
+
+def oracle_weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
+    """The per-sample weak loss that the batched `weak_loss` replaced:
+    mask_to_box on each plane, with a foreground-path fallback for a plane
+    that has no pixel at the threshold."""
+
+    def mm2b(plane, weak):
+        try:
+            box, status = mask_to_box(plane)
+            foreground = status.status is Center.FOREGROUND
+        except EmptyMaskError:
+            box, foreground = backproject_min(project(plane)), True
+        return T.affine(branch_loss(box, weak, lcfg), lcfg.beta if foreground else lcfg.gamma, 0.0)
+
+    n = prob_a.data.shape[0]
+    total = None
+    for b in range(n):
+        p_a = T.plane(prob_a, b, 0)
+        p_b = T.plane(prob_b_up, b, 0)
+        weak = weak_boxes[b]
+        if cfg.supervision == "fullbox":
+            l_box = T.affine(T.add(branch_loss(p_a, weak, lcfg), branch_loss(p_b, weak, lcfg)), 0.5, 0.0)
+        else:
+            l_box = T.affine(T.add(mm2b(p_a, weak), mm2b(p_b, weak)), 0.5, 0.0)
+        l_sc = sc_loss(p_a, p_b, weak) if cfg.use_sc else T.Tensor(0.0, dtype=np.float32)
+        sample_loss = total_loss(Phase.WEAK, mm2b=l_box, sc=l_sc)
+        total = sample_loss if total is None else T.add(total, sample_loss)
+    return T.affine(total, 1.0 / n, 0.0)
+
+
+def mixed_predictions(rng, n=6, size=16):
+    """(n, 1, size, size) soft predictions at two scales: one compact blob,
+    two separated blobs and one all-low plane, then random blob layouts."""
+    masks = np.zeros((n, size, size), dtype=np.float32)
+    masks[0, 4:11, 5:12] = 1.0
+    masks[1, 0:4, 0:4] = masks[1, 11:16, 10:16] = 1.0
+    for b in range(3, n):
+        for _ in range(int(rng.integers(1, 4))):
+            r, c = rng.integers(0, size - 4, 2)
+            masks[b, r : r + int(rng.integers(2, 5)), c : c + int(rng.integers(2, 5))] = 1.0
+
+    def soft(m):
+        p = np.where(m > 0, rng.uniform(0.55, 0.98, m.shape), rng.uniform(0.02, 0.45, m.shape))
+        return p.astype(np.float32)[:, None]
+
+    weak = [np.zeros((size, size), dtype=np.float32) for _ in range(n)]
+    for b, w in enumerate(weak):
+        r0, c0 = rng.integers(0, size // 2, 2)
+        w[r0 : r0 + size // 2, c0 : c0 + size // 2] = 1.0
+    return soft(masks), soft(masks), weak
+
+
+@pytest.mark.parametrize("supervision", ["mm2b", "fullbox"])
+@pytest.mark.parametrize("use_sc", [True, False])
+def test_weak_loss_matches_per_sample_oracle(supervision, use_sc):
+    rng = np.random.default_rng(17)
+    prob_a, prob_b, weak = mixed_predictions(rng)
+    planes = np.concatenate([prob_a[:, 0], prob_b[:, 0]])
+    foreground, _ = decide_branches(planes)
+    empty = ~(planes >= 0.5).any(axis=(1, 2))
+    assert foreground.any() and not foreground.all() and empty.any()
+
+    cfg = RunConfig(beta=1.5, gamma=0.7, supervision=supervision, use_sc=use_sc)
+    lcfg = loss_config(cfg)
+    got, grads = [], []
+    for loss_fn in (weak_loss, oracle_weak_loss):
+        ta = T.Tensor(prob_a, requires_grad=True)
+        tb = T.Tensor(prob_b, requires_grad=True)
+        loss = loss_fn(ta, tb, weak, cfg, lcfg)
+        T.backward(loss)
+        got.append(loss.item())
+        grads.append((ta.grad, tb.grad))
+    assert abs(got[0] - got[1]) <= 1e-6
+    for new, old in zip(*grads):
+        assert np.allclose(new, old, rtol=1e-5, atol=1e-5 * np.abs(old).max())

@@ -263,6 +263,36 @@ def test_backward_linearity():
     assert np.allclose(combined, a * ga + b * gb, atol=1e-6)
 
 
+@pytest.mark.parametrize("axis", [None, 0, 2, (-2, -1), (0, 1, 2)])
+def test_sum_and_mean_over_axis_match_numpy(axis):
+    x = np.random.default_rng(3).uniform(-1, 1, (2, 3, 4))
+    for op, ref in ((T.tsum, np.sum), (T.tmean, np.mean)):
+        t = T.Tensor(x, requires_grad=True, dtype=np.float64)
+        out = op(t, axis=axis)
+        assert out.data.shape == np.shape(ref(x, axis=axis))
+        assert np.allclose(out.data, ref(x, axis=axis), rtol=1e-12, atol=0)
+        w = np.random.default_rng(4).uniform(-1, 1, out.data.shape)
+        T.backward(T.tsum(T.mul(out, T.Tensor(w, dtype=np.float64))))
+        n = x.size // w.size if op is T.tmean else 1
+        spread = w if axis is None else np.expand_dims(w, axis)
+        assert np.allclose(t.grad, np.broadcast_to(spread / n, x.shape), rtol=1e-12, atol=0)
+
+
+def test_later_gradient_leaves_aliased_grads_alone():
+    # add hands the same gradient array to both inputs, so x.grad and c.grad
+    # start out as one array; c's second gradient (from m, recorded first and
+    # so swept last) must not change x.grad or s.grad
+    x = T.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True, dtype=np.float64)
+    c = T.Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True, dtype=np.float64)
+    w = T.Tensor(np.array([3.0, 4.0, 5.0]), dtype=np.float64)
+    m = T.mul(c, w)
+    s = T.add(x, c)
+    T.backward(T.tsum(T.add(T.affine(s, 2.0, 0.0), m)))
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+    assert np.array_equal(s.grad, [2.0, 2.0, 2.0])
+    assert np.array_equal(c.grad, [5.0, 6.0, 7.0])
+
+
 def test_determinism_bit_identical():
     def run():
         x = T.Tensor(np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4), requires_grad=True)
