@@ -20,15 +20,13 @@ def main():
     ap.add_argument("--epochs", type=int, default=25)
     ap.add_argument("--refine-epochs", type=int, default=40)
     ap.add_argument("--workdir", default=None)
-    ap.add_argument("--jobs", type=int, default=1, help="seeds run at once in worker processes (at most the CPU count)")
     args = ap.parse_args()
-    if args.jobs < 1:
-        ap.error(f"--jobs must be >= 1, got {args.jobs}")
 
     root = args.workdir or tempfile.mkdtemp(prefix="weakbox_ablation_")
-    rows = run_seeds(range(1, args.seeds + 1), root, args.epochs, args.refine_epochs, jobs=args.jobs)
-    for row in rows:
-        print(format_row(row))
+    rows = []
+    for row in run_seeds(range(1, args.seeds + 1), root, args.epochs, args.refine_epochs):
+        print(format_row(row), flush=True)
+        rows.append(row)
 
     n = len(rows)
     v = verdicts(rows)

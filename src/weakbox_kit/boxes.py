@@ -145,6 +145,16 @@ def min_gap_box(mask: MaskLike, centroid, threshold: float = 0.5) -> np.ndarray:
     return out
 
 
+def decide_branch(mask: MaskLike, threshold: float = 0.5):
+    """The branch policy for one mask: its CenterStatus and the gap rectangle
+    to cut from the cross-band union, or None on the foreground path. Raises
+    EmptyMaskError when no pixel reaches the threshold."""
+    status = center_status(mask, threshold)
+    if status.status is Center.FOREGROUND:
+        return status, None
+    return status, min_gap_box(mask, status.centroid, threshold)
+
+
 def mask_to_box(mask: MaskLike, threshold: float = 0.5):
     """Turn a (soft) mask into its box supervision mask.
 
@@ -152,13 +162,12 @@ def mask_to_box(mask: MaskLike, threshold: float = 0.5):
     centered ones (multiple separated objects) take the cross-band union minus
     the centered gap rectangle, clamped to [0, 1]. Returns (box, CenterStatus).
     """
-    status = center_status(mask, threshold)
+    status, gap = decide_branch(mask, threshold)
     proj = project(mask)
-    if status.status is Center.FOREGROUND:
+    if gap is None:
         box = backproject_min(proj)
     else:
         band = backproject_max(proj)
-        gap = min_gap_box(mask, status.centroid, threshold)
         if isinstance(band, T.Tensor):
             box = T.clamp(T.sub(band, T.Tensor(gap, dtype=band.data.dtype)), 0.0, 1.0)
         else:
@@ -167,7 +176,7 @@ def mask_to_box(mask: MaskLike, threshold: float = 0.5):
 
 
 def decide_branches(masks: np.ndarray, threshold: float = 0.5):
-    """Branch decision for an (N, H, W) stack, one sample at a time in numpy.
+    """`decide_branch` for each sample of an (N, H, W) stack, in numpy.
 
     Returns a boolean (N,) foreground mark and the (N, H, W) gap rectangles,
     zero except on background-centered samples. A sample with no pixel at the
@@ -178,12 +187,12 @@ def decide_branches(masks: np.ndarray, threshold: float = 0.5):
     gaps = np.zeros_like(masks)
     for i, mask in enumerate(masks):
         try:
-            status = center_status(mask, threshold)
+            _, gap = decide_branch(mask, threshold)
         except EmptyMaskError:
             continue
-        if status.status is Center.BACKGROUND:
+        if gap is not None:
             foreground[i] = False
-            gaps[i] = min_gap_box(mask, status.centroid, threshold)
+            gaps[i] = gap
     return foreground, gaps
 
 

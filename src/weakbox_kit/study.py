@@ -3,11 +3,12 @@ consistency, and box-transform supervision vs a naive full-box baseline.
 
 Per seed, four weak-phase variants and a refiner train on single-object
 data; they are scored on the held-out split and on a separate two-object
-dataset. `run_seed` returns one row per seed, `run_seeds` runs several
-(optionally in worker processes), `verdicts` aggregates rows.
+dataset. `run_seed` returns one row per seed, `run_seeds` runs several in
+worker processes, `verdicts` aggregates rows.
 """
 
 import contextlib
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -102,20 +103,23 @@ def _single_threaded_children():
                 os.environ[name] = value
 
 
-def run_seeds(seeds, root, epochs, refine_epochs, jobs=1):
-    """Rows of `run_seed` for each seed, in seed order.
+def run_seeds(seeds, root, epochs, refine_epochs):
+    """Yield the row of `run_seed` for each seed, in seed order, as it is ready.
 
-    With jobs > 1 the seeds run in up to min(jobs, os.cpu_count()) spawned
-    worker processes, each with single-threaded BLAS. A seed shares no state
-    with another, so the rows equal the serial ones.
+    Seeds run in min(os.cpu_count(), len(seeds)) spawned worker processes,
+    each with single-threaded BLAS; with one worker they run in this process.
+    A seed shares no state with another, so the rows equal a serial loop's.
     """
     seeds = list(seeds)
-    workers = min(jobs, os.cpu_count() or 1, len(seeds))
+    job = functools.partial(run_seed, root=root, epochs=epochs, refine_epochs=refine_epochs)
+    workers = min(os.cpu_count() or 1, len(seeds))
     if workers <= 1:
-        return [run_seed(seed, root, epochs, refine_epochs) for seed in seeds]
-    with _single_threaded_children(), ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = [pool.submit(run_seed, seed, root, epochs, refine_epochs) for seed in seeds]
-        return [f.result() for f in futures]
+        yield from map(job, seeds)
+        return
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with _single_threaded_children():
+            rows = pool.map(job, seeds)
+        yield from rows
 
 
 def format_row(row):

@@ -7,7 +7,6 @@ suite's runtime.
 
 import dataclasses
 import math
-import os
 import time
 
 import numpy as np
@@ -226,8 +225,9 @@ TREND_SEEDS = tuple(range(1, 11))
 @pytest.fixture(scope="session")
 def trend_results(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("trend"))
-    rows = run_seeds(TREND_SEEDS, root, epochs=25, refine_epochs=40, jobs=min(4, os.cpu_count() or 1))
-    for row in rows:
+    rows = []
+    for row in run_seeds(TREND_SEEDS, root, epochs=25, refine_epochs=40):
+        rows.append(row)
         print(f"  trend {format_row(row)}")
     return rows
 
