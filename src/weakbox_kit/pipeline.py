@@ -13,7 +13,7 @@ reproducible and checkpoint resume is bit-identical to a straight run.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -118,17 +118,21 @@ def _check_scale1(shape, scale1):
         raise ValueError(f"dataset size {shape} does not match scale1 {scale1}; set scale1 to the dataset size")
 
 
-def _batch_arrays(samples, indices, cfg, epoch, scale):
+def _augmented(sample, cfg, stream, epoch, idx):
+    """A training sample's (image, mask), with the keyed flip/rotate draw of
+    its epoch when augmentation is on."""
+    if not cfg.augment:
+        return sample.image, sample.gt_mask
+    return augment_pair(sample.image, sample.gt_mask, rng_from_key(cfg.seed, stream, epoch, int(idx)))
+
+
+def _batch_arrays(samples, indices, cfg, epoch):
     images, weaks = [], []
     for idx in indices:
-        s = samples[idx]
-        image, mask = s.image, s.gt_mask
-        if cfg.augment:
-            rng = rng_from_key(cfg.seed, "aug", epoch, int(idx))
-            image, mask = augment_pair(image, mask, rng)
+        image, mask = _augmented(samples[idx], cfg, "aug", epoch, idx)
         # the weak path only ever sees the tight box of the mask
         weak = gt_box_mask(mask)
-        _check_scale1(weak.shape, scale)
+        _check_scale1(weak.shape, cfg.scale1)
         images.append(image[None])
         weaks.append(weak.astype(np.float32))
     return np.stack(images).astype(np.float32), weaks
@@ -137,16 +141,54 @@ def _batch_arrays(samples, indices, cfg, epoch, scale):
 @dataclass
 class TrainResult:
     params: object
-    epoch_losses: list = field(default_factory=list)
-    checkpoint_path: str = ""
+    epoch_losses: list
+    checkpoint_path: str
+
+
+def _train_split(cfg, phase):
+    """The training split of the dataset, for a config of the given phase."""
+    if cfg.phase != phase:
+        raise ValueError(f"train_{phase} needs phase = {phase}, config says {cfg.phase!r}")
+    _, samples = load_dataset(cfg.dataset_dir)
+    return split_dataset(samples, cfg.holdout_fraction)[0]
+
+
+def _fit(cfg, params, optimizer, items, stream, batch_loss, start_epoch=0):
+    """The epoch loop both phases share. Each epoch visits `items` in the
+    order keyed by (seed, stream, epoch) and takes one optimizer step per
+    batch on `batch_loss(picked_items, epoch)`; a non-finite loss raises
+    NumericError. Returns the mean loss of each epoch."""
+    losses = []
+    for epoch in range(start_epoch, cfg.epochs):
+        order = rng_from_key(cfg.seed, stream, epoch).permutation(len(items))
+        epoch_sum, n_batches = 0.0, 0
+        for lo in range(0, len(items), cfg.batch_size):
+            loss = batch_loss([items[i] for i in order[lo : lo + cfg.batch_size]], epoch)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NumericError(f"non-finite {cfg.phase} loss at epoch {epoch}, batch {n_batches} (lr={cfg.learning_rate})")
+            params.zero_grad()
+            T.backward(loss)
+            optimizer.step()
+            epoch_sum += value
+            n_batches += 1
+        losses.append(epoch_sum / n_batches)
+    return losses
+
+
+def _result(cfg, params, optimizer, losses, name_filter=None):
+    """The run's result; saves the checkpoint (only names passing
+    name_filter) when checkpoint_out is set."""
+    path = cfg.checkpoint_out
+    if path:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        save_checkpoint(path, params, cfg.optimizer, optimizer.state_dict(), seed=cfg.seed, epoch=cfg.epochs, name_filter=name_filter)
+    return TrainResult(params=params, epoch_losses=losses, checkpoint_path=path)
 
 
 def train_weak(cfg: RunConfig) -> TrainResult:
     """Box-supervised phase; resumes from checkpoint_in when set."""
-    if cfg.phase != "weak":
-        raise ValueError(f"train_weak needs phase = weak, config says {cfg.phase!r}")
-    _, samples = load_dataset(cfg.dataset_dir)
-    train_samples, _ = split_dataset(samples, cfg.holdout_fraction)
+    train_samples = _train_split(cfg, "weak")
     ncfg = net_config(cfg)
     lcfg = loss_config(cfg)
 
@@ -165,31 +207,12 @@ def train_weak(cfg: RunConfig) -> TrainResult:
             load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
         optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
 
-    losses_log = []
-    n = len(train_samples)
-    for epoch in range(start_epoch, cfg.epochs):
-        order = rng_from_key(cfg.seed, "shuffle", epoch).permutation(n)
-        epoch_sum, n_batches = 0.0, 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            images, weaks = _batch_arrays(train_samples, idx, cfg, epoch, cfg.scale1)
-            loss = weak_batch_loss(params, images, weaks, cfg, ncfg, lcfg, training=True)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite weak loss at epoch {epoch}, batch {lo // cfg.batch_size} (lr={cfg.learning_rate})")
-            params.zero_grad()
-            T.backward(loss)
-            optimizer.step()
-            epoch_sum += value
-            n_batches += 1
-        losses_log.append(epoch_sum / max(n_batches, 1))
+    def batch_loss(indices, epoch):
+        images, weaks = _batch_arrays(train_samples, indices, cfg, epoch)
+        return weak_batch_loss(params, images, weaks, cfg, ncfg, lcfg, training=True)
 
-    path = ""
-    if cfg.checkpoint_out:
-        path = cfg.checkpoint_out
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        save_checkpoint(path, params, cfg.optimizer, optimizer.state_dict(), seed=cfg.seed, epoch=cfg.epochs)
-    return TrainResult(params=params, epoch_losses=losses_log, checkpoint_path=path)
+    losses = _fit(cfg, params, optimizer, range(len(train_samples)), "shuffle", batch_loss, start_epoch)
+    return _result(cfg, params, optimizer, losses)
 
 
 def degrade_mask(gt_mask, rng):
@@ -215,69 +238,34 @@ def train_refine(cfg: RunConfig) -> TrainResult:
     """Refiner phase on the labeled fraction of the training split.
 
     Coarse inputs are degraded copies of the real masks (logit domain); the
-    output checkpoint carries the refine parameters flagged frozen.
+    output checkpoint carries the refine parameters flagged frozen. The phase
+    always starts from init: it cannot resume from checkpoint_in.
     """
-    if cfg.phase != "refine":
-        raise ValueError(f"train_refine needs phase = refine, config says {cfg.phase!r}")
-    _, samples = load_dataset(cfg.dataset_dir)
-    train_samples, _ = split_dataset(samples, cfg.holdout_fraction)
+    if cfg.checkpoint_in:
+        raise ValueError(f"train_refine cannot resume: checkpoint_in is set ({cfg.checkpoint_in}); the refine phase always starts from init")
+    train_samples = _train_split(cfg, "refine")
     labeled = refine_subset_indices(len(train_samples), cfg.refine_label_fraction, cfg.seed)
-    if not labeled:
-        raise ValueError("refine phase: labeled subset is empty")
-    ncfg = net_config(cfg)
     lcfg = loss_config(cfg)
-    params = init_params(cfg.seed, ncfg, include_refine=True)
+    params = init_params(cfg.seed, net_config(cfg), include_refine=True)
     optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
 
-    losses_log = []
-    for epoch in range(cfg.epochs):
-        order = rng_from_key(cfg.seed, "refine_shuffle", epoch).permutation(len(labeled))
-        epoch_sum, n_batches = 0.0, 0
-        for lo in range(0, len(labeled), cfg.batch_size):
-            picks = [labeled[i] for i in order[lo : lo + cfg.batch_size]]
-            images, coarse, gts = [], [], []
-            for idx in picks:
-                s = train_samples[idx]
-                image, mask = s.image, s.gt_mask
-                if cfg.augment:
-                    rng = rng_from_key(cfg.seed, "refine_aug", epoch, int(idx))
-                    image, mask = augment_pair(image, mask, rng)
-                rng = rng_from_key(cfg.seed, "degrade", epoch, int(idx))
-                coarse.append(_logit(degrade_mask(mask, rng))[None])
-                images.append(image[None])
-                gts.append(mask)
-            x = T.Tensor(np.stack(images), dtype=np.float32)
-            c = T.Tensor(np.stack(coarse), dtype=np.float32)
-            out = detail_refine_forward(params, c, x, training=True)
-            prob = T.sigmoid(out.refined)
-            gt = np.stack(gts)
-            per_sample = detail_refine_loss(T.reshape(prob, gt.shape), gt, lcfg)
-            loss = total_loss(Phase.REFINE, refine=T.tmean(per_sample))
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite refine loss at epoch {epoch}, batch {lo // cfg.batch_size}")
-            params.zero_grad()
-            T.backward(loss)
-            optimizer.step()
-            epoch_sum += value
-            n_batches += 1
-        losses_log.append(epoch_sum / max(n_batches, 1))
+    def batch_loss(picks, epoch):
+        images, coarse, gts = [], [], []
+        for idx in picks:
+            image, mask = _augmented(train_samples[idx], cfg, "refine_aug", epoch, idx)
+            coarse.append(_logit(degrade_mask(mask, rng_from_key(cfg.seed, "degrade", epoch, idx)))[None])
+            images.append(image[None])
+            gts.append(mask)
+        x = T.Tensor(np.stack(images), dtype=np.float32)
+        c = T.Tensor(np.stack(coarse), dtype=np.float32)
+        prob = T.sigmoid(detail_refine_forward(params, c, x, training=True).refined)
+        gt = np.stack(gts)
+        per_sample = detail_refine_loss(T.reshape(prob, gt.shape), gt, lcfg)
+        return total_loss(Phase.REFINE, refine=T.tmean(per_sample))
 
+    losses = _fit(cfg, params, optimizer, labeled, "refine_shuffle", batch_loss)
     params.set_frozen("refine.")
-    path = ""
-    if cfg.checkpoint_out:
-        path = cfg.checkpoint_out
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        save_checkpoint(
-            path,
-            params,
-            cfg.optimizer,
-            optimizer.state_dict(),
-            seed=cfg.seed,
-            epoch=cfg.epochs,
-            name_filter=lambda name: name.startswith("refine."),
-        )
-    return TrainResult(params=params, epoch_losses=losses_log, checkpoint_path=path)
+    return _result(cfg, params, optimizer, losses, name_filter=lambda name: name.startswith("refine."))
 
 
 def has_refine(params):

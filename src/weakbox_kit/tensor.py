@@ -62,7 +62,7 @@ class Tensor:
     must never touch.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "frozen", "meta", "_node", "_is_leaf")
+    __slots__ = ("data", "grad", "requires_grad", "frozen", "_node", "_is_leaf")
 
     def __init__(self, data, requires_grad=False, dtype=None, frozen=False):
         arr = np.array(data, copy=True)
@@ -74,7 +74,6 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.frozen = bool(frozen)
-        self.meta = {}
         self._node = None
         self._is_leaf = True
 
@@ -89,7 +88,7 @@ def as_tensor(value, dtype=None):
     return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
 
 
-def _wrap(out_data, inputs, grad_fn, meta=None):
+def _wrap(out_data, inputs, grad_fn):
     """Wrap an op result; records a tape node iff any input is tracked. The
     grad function may return None for an input that needs no gradient."""
     out_data = np.asarray(out_data)
@@ -99,7 +98,6 @@ def _wrap(out_data, inputs, grad_fn, meta=None):
     out.grad = None
     out.requires_grad = requires
     out.frozen = False
-    out.meta = dict(meta) if meta else {}
     out._is_leaf = False
     if requires:
         node = _Node(tuple(inputs), grad_fn)
@@ -476,9 +474,8 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
 
 
 def maxpool2d(x):
-    """2x2 max pool, stride 2. Odd spatial dims are padded to even with -inf;
-    the padding decision is recorded in output meta. Gradient goes to the
-    first argmax in row-major window order."""
+    """2x2 max pool, stride 2. Odd spatial dims are padded to even with -inf.
+    Gradient goes to the first argmax in row-major window order."""
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects NCHW, got {x.data.shape}")
     bsz, c, h, w = x.data.shape
@@ -498,8 +495,7 @@ def maxpool2d(x):
         gxp = gwin.reshape(bsz, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, hh * 2, ww * 2)
         return (np.ascontiguousarray(gxp[:, :, : h, : w]),)
 
-    meta = {"pool_padded": (ph, pw)} if (ph or pw) else None
-    return _wrap(out, (x,), grad_fn, meta=meta)
+    return _wrap(out, (x,), grad_fn)
 
 
 def _interp_matrix(n_in, n_out, dtype):

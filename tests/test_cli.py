@@ -209,6 +209,17 @@ def test_config_unknown_key_is_data_error(workspace, tmp_path):
     assert main(["train-weak", "--config", bad]) == EXIT_DATA
 
 
+def test_train_refine_with_checkpoint_in_is_data_error(workspace, tmp_path, capsys):
+    root, _, _ = workspace
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=True))
+    cfg = write_file(root / "refine_resume.cfg", f"dataset_dir = data\nepochs = 1\nseed = 5\ncheckpoint_in = {ckpt}\n")
+    out_dir = tmp_path / "refine"
+    assert main(["train-refine", "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
+    assert "checkpoint_in" in capsys.readouterr().err
+    assert not (out_dir / "refine.ckpt").exists()
+
+
 def test_gradcheck_cli_smoke(capsys):
     assert main(["gradcheck", "--seed", "3", "--instances", "1"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -194,6 +194,36 @@ def test_train_refine_zero_lr_keeps_params(tiny_dataset_dir):
             assert np.array_equal(result.params[name].data, t.data)
 
 
+def test_train_refine_determinism_byte_identical(tiny_dataset_dir, tmp_path):
+    paths = []
+    for name in ("a", "b"):
+        cfg = cfg_for(tiny_dataset_dir, phase="refine", epochs=2, batch_size=4, refine_label_fraction=0.3)
+        cfg.checkpoint_out = os.path.join(str(tmp_path), f"{name}.ckpt")
+        paths.append(train_refine(cfg).checkpoint_path)
+    with open(paths[0], "rb") as f1, open(paths[1], "rb") as f2:
+        assert f1.read() == f2.read()
+
+
+def test_train_refine_rejects_checkpoint_in(tiny_dataset_dir, tmp_path):
+    cfg = cfg_for(tiny_dataset_dir, tmp_path, phase="refine", epochs=1)
+    cfg.checkpoint_in = os.path.join(str(tmp_path), "earlier.ckpt")
+    with pytest.raises(ValueError, match="checkpoint_in"):
+        train_refine(cfg)
+    assert not os.path.exists(cfg.checkpoint_out)
+
+
+def test_nan_refine_loss_aborts_with_diagnostics(tiny_dataset_dir, monkeypatch):
+    import weakbox_kit.pipeline as pl
+    from weakbox_kit.pipeline import NumericError
+
+    def poisoned(*args, **kwargs):
+        return T.Tensor(float("nan"))
+
+    monkeypatch.setattr(pl, "detail_refine_loss", poisoned)
+    with pytest.raises(NumericError, match="refine loss at epoch 0"):
+        train_refine(cfg_for(tiny_dataset_dir, phase="refine", epochs=1, refine_label_fraction=0.3))
+
+
 def test_degrade_mask_stays_soft():
     rng = rng_from_key(1, "degrade", 0, 0)
     mask = np.zeros((32, 32), dtype=np.float32)
@@ -302,7 +332,7 @@ def test_gt_pixels_beyond_box_never_influence_weak_loss(tiny_dataset_dir):
     losses = []
     for mask in (sample.gt_mask, boxed):
         params = init_params(cfg.seed, ncfg, include_refine=False)
-        images, weaks = _batch_arrays([Stub(sample.image, mask)], [0], cfg, 0, 64)
+        images, weaks = _batch_arrays([Stub(sample.image, mask)], [0], cfg, 0)
         losses.append(weak_batch_loss(params, images, weaks, cfg, ncfg, lcfg, training=True).item())
     assert losses[0] == losses[1]
 
@@ -328,7 +358,7 @@ def test_weak_step_updates_backbone_bn_once_per_scale(tiny_dataset_dir, monkeypa
         return batchnorm2d(x, gamma, beta, running_mean, running_var, training, **kw)
 
     monkeypatch.setattr(T, "batchnorm2d", counting)
-    images, weaks = _batch_arrays(samples, [0, 1, 2, 3], cfg, 0, 64)
+    images, weaks = _batch_arrays(samples, [0, 1, 2, 3], cfg, 0)
     weak_batch_loss(params, images, weaks, cfg, ncfg, loss_config(cfg), training=True)
     assert set(updates) == set(layer_of.values())
     assert {n: c for n, c in updates.items() if n.startswith("cnn.")} == {"cnn.stage1.bn": 2, "cnn.stage2.bn": 2}

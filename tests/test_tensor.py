@@ -110,11 +110,10 @@ def test_maxpool_tie_routes_first_in_row_major():
     assert x.grad.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
 
 
-def test_maxpool_odd_input_pads_and_records():
+def test_maxpool_odd_input_pads():
     x = T.Tensor(np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3))
     out = T.maxpool2d(x)
     assert out.data.shape == (1, 1, 2, 2)
-    assert out.meta["pool_padded"] == (1, 1)
     assert out.data[0, 0, 1, 1] == 8.0
 
 
