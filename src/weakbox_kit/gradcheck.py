@@ -1,6 +1,12 @@
 """Central finite-difference verification of every differentiable primitive
 and every loss.
 
+Each check is one table row: a name and a draw function, `draw(rng) ->
+(arrays, op)`, that gives the op's inputs and the op under test. The shared
+readout rule builds the scalar loss: a scalar output is used as it is, any
+other output is weighted by a uniform readout of its shape, drawn after the
+inputs.
+
 Checks run in float64 (the artifact path is float32; at h = 1e-3 float32
 rounding would swamp the difference quotient). Inputs of max/min-like ops are
 kept at least 0.012 apart so no tie flips within the +-h probes. The `corrupt`
@@ -55,10 +61,6 @@ def _readout(rng, shape):
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-def _weighted(out, weights):
-    return T.tsum(T.mul(out, T.Tensor(weights, dtype=np.float64)))
-
-
 def finite_diff(forward, arrays, index, h=DEFAULT_STEP):
     """Central-difference gradient of forward(arrays) w.r.t. arrays[index]."""
     work = [a.copy() for a in arrays]
@@ -76,12 +78,22 @@ def finite_diff(forward, arrays, index, h=DEFAULT_STEP):
     return grad
 
 
-def check_instance(builder, rng, h=DEFAULT_STEP, corrupt=False):
-    """Max relative FD-vs-tape error over all inputs of one instance."""
-    arrays, forward = builder(rng)
+def check_instance(draw, rng, h=DEFAULT_STEP, corrupt=False):
+    """Max relative FD-vs-tape error over all inputs of one instance.
+
+    `draw(rng)` gives the input arrays and the op, called as `op(*tensors)`.
+    The loss is the op's output when that is a scalar; otherwise it is the
+    output weighted by a readout drawn after the inputs."""
+    arrays, op = draw(rng)
+    shape = op(*[T.Tensor(a, dtype=np.float64) for a in arrays]).data.shape
+    weights = None if shape == () else _readout(rng, shape)
+
+    def forward(ts):
+        out = op(*ts)
+        return out if weights is None else T.tsum(T.mul(out, T.Tensor(weights, dtype=np.float64)))
+
     tensors = [T.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
-    loss = forward(tensors)
-    T.backward(loss)
+    T.backward(forward(tensors))
     worst = 0.0
 
     def scalar_forward(arrs):
@@ -98,188 +110,32 @@ def check_instance(builder, rng, h=DEFAULT_STEP, corrupt=False):
 
 
 # ---------------------------------------------------------------------------
-# primitive builders
+# input draws
 
 
-def _b_add(rng):
-    a = rng.uniform(-2, 2, (3, 4))
-    b = rng.uniform(-2, 2, (3, 4))
-    w = _readout(rng, (3, 4))
-    return [a, b], lambda ts: _weighted(T.add(ts[0], ts[1]), w)
+def _check(draws, op):
+    """Draw function of an op without drawn parameters: one input per draw,
+    drawn in order."""
+    return lambda rng: ([d(rng) for d in draws], op)
 
 
-def _b_sub(rng):
-    a = rng.uniform(-2, 2, (3, 4))
-    b = rng.uniform(-2, 2, (3, 4))
-    w = _readout(rng, (3, 4))
-    return [a, b], lambda ts: _weighted(T.sub(ts[0], ts[1]), w)
+def _uniform(shape, lo=-2.0, hi=2.0):
+    return lambda rng: rng.uniform(lo, hi, shape)
 
 
-def _b_mul(rng):
-    a = rng.uniform(-2, 2, (3, 4))
-    b = rng.uniform(-2, 2, (1, 4))  # broadcast on purpose
-    w = _readout(rng, (3, 4))
-    return [a, b], lambda ts: _weighted(T.mul(ts[0], ts[1]), w)
+def _nonzero(shape):
+    """Uniform magnitudes in [0.3, 2) with a random sign: a safe divisor."""
+    return lambda rng: np.sign(rng.uniform(-1, 1, shape)) * rng.uniform(0.3, 2.0, shape)
 
 
-def _b_div(rng):
-    a = rng.uniform(-2, 2, (3, 4))
-    b = np.sign(rng.uniform(-1, 1, (3, 4))) * rng.uniform(0.3, 2.0, (3, 4))
-    w = _readout(rng, (3, 4))
-    return [a, b], lambda ts: _weighted(T.div(ts[0], ts[1]), w)
+def _off_kinks(*points):
+    """A (3, 4) input with no value within 0.02 of a kink point."""
+    return lambda rng: _away_from(rng, (3, 4), points=points)
 
 
-def _b_affine(rng):
-    a = rng.uniform(-2, 2, (2, 5))
-    s, c = float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1))
-    w = _readout(rng, (2, 5))
-    return [a], lambda ts: _weighted(T.affine(ts[0], s, c), w)
-
-
-def _b_minimum(rng):
-    vals = _distinct(rng, (2, 3, 4))
-    w = _readout(rng, (3, 4))
-    return [vals[0], vals[1]], lambda ts: _weighted(T.minimum(ts[0], ts[1]), w)
-
-
-def _b_maximum(rng):
-    vals = _distinct(rng, (2, 3, 4))
-    w = _readout(rng, (3, 4))
-    return [vals[0], vals[1]], lambda ts: _weighted(T.maximum(ts[0], ts[1]), w)
-
-
-def _b_broadcast(rng):
-    a = rng.uniform(-2, 2, (4,))
-    w = _readout(rng, (3, 4))
-    return [a], lambda ts: _weighted(T.broadcast_to(T.reshape(ts[0], (1, 4)), (3, 4)), w)
-
-
-def _b_reshape(rng):
-    a = rng.uniform(-2, 2, (3, 4))
-    w = _readout(rng, (2, 6))
-    return [a], lambda ts: _weighted(T.reshape(ts[0], (2, 6)), w)
-
-
-def _b_concat(rng):
-    a = rng.uniform(-2, 2, (1, 2, 3, 3))
-    b = rng.uniform(-2, 2, (1, 1, 3, 3))
-    w = _readout(rng, (1, 3, 3, 3))
-    return [a, b], lambda ts: _weighted(T.concat([ts[0], ts[1]], axis=1), w)
-
-
-def _b_plane(rng):
-    a = rng.uniform(-2, 2, (2, 3, 4, 4))
-    w = _readout(rng, (4, 4))
-    return [a], lambda ts: _weighted(T.plane(ts[0], 1, 2), w)
-
-
-def _b_sigmoid(rng):
-    a = rng.uniform(-2, 2, (3, 4))
-    w = _readout(rng, (3, 4))
-    return [a], lambda ts: _weighted(T.sigmoid(ts[0]), w)
-
-
-def _b_relu(rng):
-    a = _away_from(rng, (3, 4), points=(0.0,))
-    w = _readout(rng, (3, 4))
-    return [a], lambda ts: _weighted(T.relu(ts[0]), w)
-
-
-def _b_abs(rng):
-    a = _away_from(rng, (3, 4), points=(0.0,))
-    w = _readout(rng, (3, 4))
-    return [a], lambda ts: _weighted(T.tabs(ts[0]), w)
-
-
-def _b_log(rng):
-    a = rng.uniform(0.1, 2.0, (3, 4))
-    w = _readout(rng, (3, 4))
-    return [a], lambda ts: _weighted(T.tlog(ts[0]), w)
-
-
-def _b_clamp(rng):
-    a = _away_from(rng, (3, 4), points=(-1.0, 1.0))
-    w = _readout(rng, (3, 4))
-    return [a], lambda ts: _weighted(T.clamp(ts[0], -1.0, 1.0), w)
-
-
-def _b_sum(rng):
-    a = rng.uniform(-2, 2, (3, 5))
-    return [a], lambda ts: T.tsum(ts[0])
-
-
-def _b_mean(rng):
-    a = rng.uniform(-2, 2, (4, 4))
-    return [a], lambda ts: T.tmean(ts[0])
-
-
-def _axis_builder(op):
-    def build(rng):
-        a = rng.uniform(-2, 2, (2, 3, 4))
-        axis = ((-2, -1), 0, 2)[int(rng.integers(3))]
-        w = _readout(rng, np.sum(a, axis=axis).shape)
-        return [a], lambda ts: _weighted(op(ts[0], axis=axis), w)
-
-    return build
-
-
-def _b_reduce_max(rng):
-    a = _distinct(rng, (5, 6))
-    axis = int(rng.integers(2))
-    w = _readout(rng, (6,) if axis == 0 else (5,))
-    return [a], lambda ts: _weighted(T.reduce_max(ts[0], axis=axis), w)
-
-
-def _b_conv2d(rng):
-    stride = int(rng.integers(1, 3))
-    dilation = int(rng.integers(1, 3))
-    pad = dilation  # keeps the 5x5 input producing a non-empty output
-    x = rng.uniform(-2, 2, (1, 2, 5, 5))
-    w = rng.uniform(-1, 1, (3, 2, 3, 3))
-    bias = rng.uniform(-1, 1, (3,))
-    oh = (5 + 2 * pad - dilation * 2 - 1) // stride + 1
-    ro = _readout(rng, (1, 3, oh, oh))
-    return [x, w, bias], lambda ts: _weighted(T.conv2d(ts[0], ts[1], bias=ts[2], stride=stride, pad=pad, dilation=dilation), ro)
-
-
-def _b_maxpool2d(rng):
-    h = int(rng.integers(2, 4)) * 2 + int(rng.integers(2))  # sometimes odd
-    x = _distinct(rng, (1, 2, h, h))
-    oh = (h + 1) // 2
-    w = _readout(rng, (1, 2, oh, oh))
-    return [x], lambda ts: _weighted(T.maxpool2d(ts[0]), w)
-
-
-def _b_bilinear_resize(rng):
-    x = rng.uniform(-2, 2, (1, 2, 5, 5))
-    oh, ow = int(rng.integers(3, 9)), int(rng.integers(3, 9))
-    w = _readout(rng, (1, 2, oh, ow))
-    return [x], lambda ts: _weighted(T.bilinear_resize(ts[0], oh, ow), w)
-
-
-def _bn_builder(training):
-    def build(rng):
-        x = rng.uniform(-2, 2, (2, 3, 4, 4))
-        gamma = rng.uniform(0.5, 1.5, (3,))
-        beta = rng.uniform(-0.5, 0.5, (3,))
-        rm = rng.uniform(-0.3, 0.3, (3,)).astype(np.float32)
-        rv = rng.uniform(0.7, 1.3, (3,)).astype(np.float32)
-        w = _readout(rng, (2, 3, 4, 4))
-
-        def forward(ts):
-            # fresh running arrays per call so in-place updates cannot leak
-            # between finite-difference evaluations
-            return _weighted(
-                T.batchnorm2d(ts[0], ts[1], ts[2], rm.copy(), rv.copy(), training=training), w
-            )
-
-        return [x, gamma, beta], forward
-
-    return build
-
-
-# ---------------------------------------------------------------------------
-# loss builders
+def _tie_free_pair(op):
+    """Two (3, 4) inputs whose 24 values are pairwise 0.012 apart."""
+    return lambda rng: (list(_distinct(rng, (2, 3, 4))), op)
 
 
 def _soft_mask(rng, shape):
@@ -293,22 +149,73 @@ def _binary_mask(rng, shape):
     return m
 
 
-def _b_bce(rng):
-    p = _soft_mask(rng, (4, 5))
-    y = _binary_mask(rng, (4, 5))
-    return [p], lambda ts: bce_loss(ts[0], y)
+def _against_mask(loss):
+    """A (4, 5) soft prediction, checked through loss(pred, binary target)."""
+
+    def draw(rng):
+        p = _soft_mask(rng, (4, 5))
+        y = _binary_mask(rng, (4, 5))
+        return [p], lambda t: loss(t, y)
+
+    return draw
 
 
-def _b_dice(rng):
-    p = _soft_mask(rng, (4, 5))
-    y = _binary_mask(rng, (4, 5))
-    return [p], lambda ts: dice_loss(ts[0], y)
+# ---------------------------------------------------------------------------
+# draw functions of ops with drawn parameters
 
 
-def _b_branch(rng):
-    p = _soft_mask(rng, (4, 5))
-    y = _binary_mask(rng, (4, 5))
-    return [p], lambda ts: branch_loss(ts[0], y)
+def _affine(rng):
+    a = rng.uniform(-2, 2, (2, 5))
+    s, c = float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1))
+    return [a], lambda x: T.affine(x, s, c)
+
+
+def _along_axis(op):
+    def draw(rng):
+        a = rng.uniform(-2, 2, (2, 3, 4))
+        axis = ((-2, -1), 0, 2)[int(rng.integers(3))]
+        return [a], lambda x: op(x, axis=axis)
+
+    return draw
+
+
+def _reduce_max(rng):
+    a = _distinct(rng, (5, 6))
+    axis = int(rng.integers(2))
+    return [a], lambda x: T.reduce_max(x, axis=axis)
+
+
+def _conv2d(rng):
+    stride = int(rng.integers(1, 3))
+    dilation = int(rng.integers(1, 3))
+    pad = dilation  # keeps the 5x5 input producing a non-empty output
+    arrays = [rng.uniform(-2, 2, (1, 2, 5, 5)), rng.uniform(-1, 1, (3, 2, 3, 3)), rng.uniform(-1, 1, (3,))]
+    return arrays, lambda x, w, b: T.conv2d(x, w, bias=b, stride=stride, pad=pad, dilation=dilation)
+
+
+def _maxpool2d(rng):
+    h = int(rng.integers(2, 4)) * 2 + int(rng.integers(2))  # sometimes odd
+    return [_distinct(rng, (1, 2, h, h))], T.maxpool2d
+
+
+def _bilinear_resize(rng):
+    x = rng.uniform(-2, 2, (1, 2, 5, 5))
+    oh, ow = int(rng.integers(3, 9)), int(rng.integers(3, 9))
+    return [x], lambda t: T.bilinear_resize(t, oh, ow)
+
+
+def _batchnorm(training):
+    def draw(rng):
+        x = rng.uniform(-2, 2, (2, 3, 4, 4))
+        gamma = rng.uniform(0.5, 1.5, (3,))
+        beta = rng.uniform(-0.5, 0.5, (3,))
+        rm = rng.uniform(-0.3, 0.3, (3,)).astype(np.float32)
+        rv = rng.uniform(0.7, 1.3, (3,)).astype(np.float32)
+        # fresh running arrays per call so in-place updates cannot leak
+        # between finite-difference evaluations
+        return [x, gamma, beta], lambda t, g, b: T.batchnorm2d(t, g, b, rm.copy(), rv.copy(), training=training)
+
+    return draw
 
 
 def _fg_soft_mask(rng):
@@ -350,87 +257,74 @@ def _mixed_batch(rng):
 _MIXED_WEIGHTS = dict(beta=1.5, gamma=0.7)
 
 
-def _b_mm2b(rng):
+def _mm2b(rng):
     p, target = _mixed_batch(rng)
     cfg = LossConfig(**_MIXED_WEIGHTS)
-    w = _readout(rng, (3,))
 
-    def forward(ts):
-        box, foreground = batch_mask_to_box(ts[0])
+    def op(t):
+        box, foreground = batch_mask_to_box(t)
         assert foreground.tolist() == [True, False, True]
-        return _weighted(mm2b_loss(box, target, foreground, cfg), w)
+        return mm2b_loss(box, target, foreground, cfg)
 
-    return [p], forward
+    return [p], op
 
 
-def _b_sc(rng):
+def _sc(rng):
     p1 = _soft_mask(rng, (5, 5))
     p2 = _soft_mask(rng, (5, 5))
     # keep |p1 - p2| away from 0: abs kink
     p2 = np.where(np.abs(p1 - p2) < 0.02, p2 + 0.04, p2)
     box = _binary_mask(rng, (5, 5))
-    return [p1, p2], lambda ts: sc_loss(ts[0], ts[1], box)
+    return [p1, p2], lambda a, b: sc_loss(a, b, box)
 
 
-def _b_detail_refine(rng):
-    p = _soft_mask(rng, (4, 5))
-    y = _binary_mask(rng, (4, 5))
-    return [p], lambda ts: detail_refine_loss(ts[0], y)
-
-
-def _b_total_weak(rng):
+def _total_weak(rng):
     p, boxes = _mixed_batch(rng)
     # the second scale sits 0.03 above the first: off the |a - b| kink, and no
     # pixel crosses the threshold, so both scales take the same branches
     cfg = RunConfig(**_MIXED_WEIGHTS)
     lcfg = loss_config(cfg)
-    return [p[:, None], p[:, None] + 0.03], lambda ts: weak_loss(ts[0], ts[1], list(boxes), cfg, lcfg)
-
-
-def _b_total_refine(rng):
-    p = _soft_mask(rng, (4, 5))
-    y = _binary_mask(rng, (4, 5))
-    return [p], lambda ts: total_loss(Phase.REFINE, refine=detail_refine_loss(ts[0], y))
+    return [p[:, None], p[:, None] + 0.03], lambda a, b: weak_loss(a, b, list(boxes), cfg, lcfg)
 
 
 PRIMITIVE_CHECKS = (
-    ("add", _b_add),
-    ("sub", _b_sub),
-    ("mul", _b_mul),
-    ("div", _b_div),
-    ("affine", _b_affine),
-    ("minimum", _b_minimum),
-    ("maximum", _b_maximum),
-    ("broadcast", _b_broadcast),
-    ("reshape", _b_reshape),
-    ("concat", _b_concat),
-    ("plane", _b_plane),
-    ("sigmoid", _b_sigmoid),
-    ("relu", _b_relu),
-    ("abs", _b_abs),
-    ("log", _b_log),
-    ("clamp", _b_clamp),
-    ("sum", _b_sum),
-    ("mean", _b_mean),
-    ("sum_axis", _axis_builder(T.tsum)),
-    ("mean_axis", _axis_builder(T.tmean)),
-    ("reduce_max", _b_reduce_max),
-    ("conv2d", _b_conv2d),
-    ("maxpool2d", _b_maxpool2d),
-    ("bilinear_resize", _b_bilinear_resize),
-    ("batchnorm_train", _bn_builder(True)),
-    ("batchnorm_eval", _bn_builder(False)),
+    ("add", _check([_uniform((3, 4)), _uniform((3, 4))], T.add)),
+    ("sub", _check([_uniform((3, 4)), _uniform((3, 4))], T.sub)),
+    ("mul", _check([_uniform((3, 4)), _uniform((1, 4))], T.mul)),  # broadcast on purpose
+    ("div", _check([_uniform((3, 4)), _nonzero((3, 4))], T.div)),
+    ("affine", _affine),
+    ("minimum", _tie_free_pair(T.minimum)),
+    ("maximum", _tie_free_pair(T.maximum)),
+    ("broadcast", _check([_uniform((4,))], lambda a: T.broadcast_to(T.reshape(a, (1, 4)), (3, 4)))),
+    ("reshape", _check([_uniform((3, 4))], lambda a: T.reshape(a, (2, 6)))),
+    ("concat", _check([_uniform((1, 2, 3, 3)), _uniform((1, 1, 3, 3))], lambda a, b: T.concat([a, b], axis=1))),
+    ("plane", _check([_uniform((2, 3, 4, 4))], lambda a: T.plane(a, 1, 2))),
+    ("sigmoid", _check([_uniform((3, 4))], T.sigmoid)),
+    ("relu", _check([_off_kinks(0.0)], T.relu)),
+    ("abs", _check([_off_kinks(0.0)], T.tabs)),
+    ("log", _check([_uniform((3, 4), 0.1, 2.0)], T.tlog)),
+    ("clamp", _check([_off_kinks(-1.0, 1.0)], lambda a: T.clamp(a, -1.0, 1.0))),
+    ("sum", _check([_uniform((3, 5))], T.tsum)),
+    ("mean", _check([_uniform((4, 4))], T.tmean)),
+    ("sum_axis", _along_axis(T.tsum)),
+    ("mean_axis", _along_axis(T.tmean)),
+    ("reduce_max", _reduce_max),
+    ("conv2d", _conv2d),
+    ("maxpool2d", _maxpool2d),
+    ("bilinear_resize", _bilinear_resize),
+    ("batchnorm_train", _batchnorm(True)),
+    ("batchnorm_eval", _batchnorm(False)),
 )
 
 LOSS_CHECKS = (
-    ("loss_bce", _b_bce),
-    ("loss_dice", _b_dice),
-    ("loss_branch", _b_branch),
-    ("loss_mm2b", _b_mm2b),
-    ("loss_sc", _b_sc),
-    ("loss_detail_refine", _b_detail_refine),
-    ("loss_total_weak", _b_total_weak),
-    ("loss_total_refine", _b_total_refine),
+    ("loss_bce", _against_mask(bce_loss)),
+    ("loss_dice", _against_mask(dice_loss)),
+    ("loss_branch", _against_mask(branch_loss)),
+    ("loss_mm2b", _mm2b),
+    ("loss_sc", _sc),
+    ("loss_detail_refine", _against_mask(detail_refine_loss)),
+    ("loss_total_weak", _total_weak),
+    ("loss_total_refine", _against_mask(lambda p, y: total_loss(Phase.REFINE, refine=detail_refine_loss(p, y)))),
 )
 
 ALL_CHECKS = PRIMITIVE_CHECKS + LOSS_CHECKS
@@ -438,12 +332,14 @@ ALL_CHECKS = PRIMITIVE_CHECKS + LOSS_CHECKS
 
 def run_gradcheck(seed=0, instances=20, tol=DEFAULT_TOL, h=DEFAULT_STEP, corrupt=None):
     """Run the full suite; returns a list with one CheckResult per check."""
+    if instances < 1:
+        raise ValueError(f"gradcheck needs instances >= 1, got {instances}")
     results = []
-    for name, builder in ALL_CHECKS:
+    for name, draw in ALL_CHECKS:
         worst = 0.0
         for i in range(instances):
             rng = rng_from_key(seed, "gradcheck", name, i)
-            err = check_instance(builder, rng, h=h, corrupt=(corrupt == name))
+            err = check_instance(draw, rng, h=h, corrupt=(corrupt == name))
             worst = max(worst, err)
         results.append(CheckResult(name=name, ok=worst <= tol, max_err=worst, instances=instances))
     return results

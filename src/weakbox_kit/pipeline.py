@@ -187,7 +187,8 @@ def _result(cfg, params, optimizer, losses, name_filter=None):
 
 
 def train_weak(cfg: RunConfig) -> TrainResult:
-    """Box-supervised phase; resumes from checkpoint_in when set."""
+    """Box-supervised phase; resumes from checkpoint_in when set, under
+    load_model's rule, up to a checkpoint epoch no later than cfg.epochs."""
     train_samples = _train_split(cfg, "weak")
     ncfg = net_config(cfg)
     lcfg = loss_config(cfg)
@@ -195,7 +196,9 @@ def train_weak(cfg: RunConfig) -> TrainResult:
     start_epoch = 0
     if cfg.checkpoint_in:
         ck = load_checkpoint(cfg.checkpoint_in)
-        params = ck.build_params()
+        if ck.epoch > cfg.epochs:
+            raise ValueError(f"checkpoint_in is at epoch {ck.epoch}, past epochs = {cfg.epochs}; a resume cannot train fewer epochs than its checkpoint holds")
+        params = _model_params(ck, cfg)
         optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
         if ck.optimizer_kind not in ("none", cfg.optimizer):
             raise ValueError(f"checkpoint optimizer {ck.optimizer_kind!r} != config {cfg.optimizer!r}")
@@ -276,11 +279,11 @@ def _shapes(params):
     return {**{n: t.data.shape for n, t in params.tensors.items()}, **{n: a.shape for n, a in params.stats.items()}}
 
 
-def load_model(checkpoint_path, cfg: RunConfig):
-    """Parameters from a checkpoint, plus the frozen refiner from
+def _model_params(ck, cfg: RunConfig):
+    """Parameters from a loaded checkpoint, plus the frozen refiner from
     cfg.refine_checkpoint when one is set. Names and shapes must match the
     config's parameter skeleton; the first entry that does not is named."""
-    params = load_checkpoint(checkpoint_path).build_params()
+    params = ck.build_params()
     if cfg.refine_checkpoint:
         load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
     got = _shapes(params)
@@ -289,6 +292,11 @@ def load_model(checkpoint_path, cfg: RunConfig):
         if got.get(name) != want.get(name):
             raise CheckpointError(f"checkpoint does not match the config at {name!r}: checkpoint has {got.get(name, 'no entry')}, config expects {want.get(name, 'no entry')}")
     return params
+
+
+def load_model(checkpoint_path, cfg: RunConfig):
+    """The model of the checkpoint file at checkpoint_path (see _model_params)."""
+    return _model_params(load_checkpoint(checkpoint_path), cfg)
 
 
 def predict_batch(params, images_np, cfg, ncfg, use_refine):

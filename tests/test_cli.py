@@ -224,3 +224,11 @@ def test_gradcheck_cli_smoke(capsys):
     assert main(["gradcheck", "--seed", "3", "--instances", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "conv2d" in out and "loss_total_weak" in out and "all" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gradcheck_cli_rejects_vacuous_run(count, capsys):
+    # a run of no instances would pass every check without checking one
+    assert main(["gradcheck", "--instances", count]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "instances" in captured.err and "passed" not in captured.out

@@ -52,16 +52,7 @@ MODEL_CONVS = (((6, 6), 1, 2, 0, 1), ((6, 6), 3, 2, 1, 1), ((5, 5), 3, 1, 2, 2),
 @pytest.mark.parametrize("size, k, stride, pad, dilation", MODEL_CONVS)
 def test_conv2d_gradcheck_at_model_configs(size, k, stride, pad, dilation):
     def builder(rng):
-        x = rng.uniform(-2, 2, (2, 2) + size)
-        w = rng.uniform(-1, 1, (3, 2, k, k))
-        bias = rng.uniform(-1, 1, (3,))
-        out_shape = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, pad=pad, dilation=dilation).data.shape
-        ro = rng.uniform(-1, 1, out_shape)
-
-        def forward(ts):
-            out = T.conv2d(ts[0], ts[1], bias=ts[2], stride=stride, pad=pad, dilation=dilation)
-            return T.tsum(T.mul(out, T.Tensor(ro, dtype=np.float64)))
-
-        return [x, w, bias], forward
+        arrays = [rng.uniform(-2, 2, (2, 2) + size), rng.uniform(-1, 1, (3, 2, k, k)), rng.uniform(-1, 1, (3,))]
+        return arrays, lambda x, w, b: T.conv2d(x, w, bias=b, stride=stride, pad=pad, dilation=dilation)
 
     assert check_instance(builder, rng_from_key(0, "gradcheck", "conv2d_model", k, stride)) <= 1e-3

@@ -5,10 +5,10 @@ import pytest
 
 from weakbox_kit import tensor as T
 from weakbox_kit.boxes import BoxCoords, Center, EmptyMaskError, backproject_min, decide_branches, mask_to_box, project
-from weakbox_kit.checkpoint import load_checkpoint
+from weakbox_kit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from weakbox_kit.config import RunConfig
 from weakbox_kit.losses import Phase, branch_loss, sc_loss, total_loss
-from weakbox_kit.nets import init_params, scale_coords, single_scale_forward
+from weakbox_kit.nets import NetConfig, init_params, scale_coords, single_scale_forward
 from weakbox_kit.pipeline import (
     augment_pair,
     degrade_mask,
@@ -122,6 +122,48 @@ def test_train_weak_resume_bit_exact(tiny_dataset_dir, tmp_path):
     assert len(result.epoch_losses) == 2  # only the remaining epochs ran
     with open(full.checkpoint_out, "rb") as f1, open(resumed.checkpoint_out, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_train_weak_rejects_resume_past_epochs(tiny_dataset_dir, tmp_path):
+    cfg = cfg_for(tiny_dataset_dir, tmp_path, epochs=1)
+    cfg.checkpoint_in = os.path.join(str(tmp_path), "two_epochs.ckpt")
+    save_checkpoint(cfg.checkpoint_in, init_params(cfg.seed, net_config(cfg), include_refine=False), "adamw", epoch=2)
+    with pytest.raises(ValueError, match="epoch 2, past epochs = 1"):
+        train_weak(cfg)
+    assert not os.path.exists(cfg.checkpoint_out)
+    cfg.epochs = 2  # an equal count is a valid no-op resume
+    assert train_weak(cfg).epoch_losses == []
+    assert load_checkpoint(cfg.checkpoint_out).epoch == 2
+
+
+def test_train_weak_resume_checks_config(tiny_dataset_dir, tmp_path):
+    cfg = cfg_for(tiny_dataset_dir, tmp_path, epochs=1)
+    cfg.checkpoint_in = os.path.join(str(tmp_path), "wide.ckpt")
+    save_checkpoint(cfg.checkpoint_in, init_params(0, NetConfig(feat_channels=cfg.feat_channels + 2), include_refine=False))
+    with pytest.raises(CheckpointError, match="does not match the config"):
+        train_weak(cfg)
+
+
+def test_train_weak_resume_merges_refine_checkpoint(tiny_dataset_dir, tmp_path):
+    def path(name):
+        return os.path.join(str(tmp_path), name)
+
+    refine_ckpt = path("refine.ckpt")
+    save_checkpoint(refine_ckpt, init_params(7, net_config(cfg_for(tiny_dataset_dir))), name_filter=lambda n: n.startswith("refine."))
+    part = cfg_for(tiny_dataset_dir, epochs=1)  # trained without the refiner
+    part.checkpoint_out = path("part.ckpt")
+    train_weak(part)
+    runs = {}
+    for name, checkpoint_in in (("straight", ""), ("resumed", part.checkpoint_out)):
+        cfg = cfg_for(tiny_dataset_dir, epochs=2, refine_checkpoint=refine_ckpt, checkpoint_in=checkpoint_in)
+        cfg.checkpoint_out = path(f"{name}.ckpt")
+        train_weak(cfg)
+        with open(cfg.checkpoint_out, "rb") as f:
+            runs[name] = f.read()
+    saved = load_checkpoint(path("resumed.ckpt"))
+    refine_names = [n for n in saved.tensors if n.startswith("refine.")]
+    assert refine_names and all(saved.frozen(n) for n in refine_names)
+    assert runs["resumed"] == runs["straight"]
 
 
 def test_weak_phase_never_reaches_refine(tiny_dataset_dir, tmp_path):
