@@ -83,7 +83,7 @@ def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_s
         if name_filter and not name_filter(name):
             continue
         t = params.tensors[name]
-        entries.append((name, _KIND_FROZEN if t.frozen else _KIND_TRAINABLE, t.data))
+        entries.append((name, _KIND_TRAINABLE if t.requires_grad else _KIND_FROZEN, t.data))
     for name in sorted(params.stats):
         if name_filter and not name_filter(name):
             continue

@@ -15,11 +15,11 @@ from .boxes import EmptyMaskError, box_coords, mask_to_box
 from .checkpoint import CheckpointError
 from .config import load_run_config
 from .gradcheck import run_gradcheck
-from .kvcfg import parse_kv_file
+from .kvcfg import from_kv, parse_kv_file
 from .pgm import PgmError, read_pgm, write_pgm
 from .pipeline import NumericError, evaluate, has_refine, load_model, net_config, predict_batch, split_dataset, train_refine, train_weak
 from .reports import write_metrics_report
-from .synth import generate_dataset, load_dataset, save_dataset, spec_from_kv
+from .synth import DatasetSpec, generate_dataset, load_dataset, save_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +92,7 @@ def _write_json(path, obj):
 
 
 def _cmd_synth_gen(args):
-    spec = spec_from_kv(parse_kv_file(args.config))
+    spec = from_kv(DatasetSpec, parse_kv_file(args.config), "dataset spec")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     samples = generate_dataset(spec)

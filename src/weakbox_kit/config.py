@@ -1,9 +1,9 @@
 """Run configuration: flat ``key = value`` files with strict key checking."""
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .kvcfg import parse_kv_file
+from .kvcfg import from_kv, parse_kv_file
 
 _OPTIMIZERS = ("adamw", "sgd")
 _SUPERVISION = ("mm2b", "fullbox")
@@ -63,37 +63,18 @@ class RunConfig:
         return self
 
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
 _PATH_KEYS = ("dataset_dir", "checkpoint_in", "checkpoint_out", "refine_checkpoint")
 _INPUT_PATH_KEYS = ("dataset_dir", "checkpoint_in", "refine_checkpoint")
 
 
-def _coerce(name, kind, raw):
-    if kind is bool:
-        low = raw.lower()
-        if low not in _BOOL_VALUES:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-        return _BOOL_VALUES[low]
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
-
-
 def load_run_config(path, overrides=None) -> RunConfig:
     """Parse, apply overrides, resolve paths relative to the config file,
-    reject unknown keys, and verify that referenced inputs exist."""
+    reject unknown keys and non-finite numbers, and verify that referenced
+    inputs exist."""
     kv = parse_kv_file(path)
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items()})
-    known = {f.name: f.type for f in fields(RunConfig)}
-    types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
-    unknown = set(kv) - set(known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    args = {name: _coerce(name, types[name], raw) for name, raw in kv.items()}
-    cfg = RunConfig(**args).validate()
+    cfg = from_kv(RunConfig, kv, "config").validate()
     base = os.path.dirname(os.path.abspath(path))
     for key in _PATH_KEYS:
         value = getattr(cfg, key)

@@ -34,8 +34,9 @@ class ParamStore:
         self.stats = {}
 
     def add(self, name, array, frozen=False):
-        # frozen params also drop out of the tape: no gradient is ever computed
-        t = T.Tensor(np.asarray(array, dtype=np.float32), requires_grad=not frozen, frozen=frozen)
+        # a parameter is frozen exactly when it needs no gradient: it drops
+        # out of the tape and the optimizer never sees it
+        t = T.Tensor(np.asarray(array, dtype=np.float32), requires_grad=not frozen)
         self.tensors[name] = t
         return t
 
@@ -49,13 +50,12 @@ class ParamStore:
         return sorted(self.tensors)
 
     def trainable(self):
-        return [(n, self.tensors[n]) for n in self.names() if not self.tensors[n].frozen]
+        return [(n, self.tensors[n]) for n in self.names() if self.tensors[n].requires_grad]
 
-    def set_frozen(self, prefix, frozen=True):
+    def set_frozen(self, prefix):
         for name, t in self.tensors.items():
             if name.startswith(prefix):
-                t.frozen = frozen
-                t.requires_grad = not frozen
+                t.requires_grad = False
 
     def zero_grad(self):
         for t in self.tensors.values():

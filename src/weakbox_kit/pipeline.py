@@ -187,34 +187,29 @@ def _result(cfg, params, optimizer, losses, name_filter=None):
 
 
 def train_weak(cfg: RunConfig) -> TrainResult:
-    """Box-supervised phase; resumes from checkpoint_in when set, under
-    load_model's rule, up to a checkpoint epoch no later than cfg.epochs."""
+    """Box-supervised phase; resumes from checkpoint_in when set, up to a
+    checkpoint epoch no later than cfg.epochs. Either way the model is
+    assembled by _model_params."""
     train_samples = _train_split(cfg, "weak")
     ncfg = net_config(cfg)
     lcfg = loss_config(cfg)
 
-    start_epoch = 0
-    if cfg.checkpoint_in:
-        ck = load_checkpoint(cfg.checkpoint_in)
+    ck = load_checkpoint(cfg.checkpoint_in) if cfg.checkpoint_in else None
+    if ck is not None:
         if ck.epoch > cfg.epochs:
             raise ValueError(f"checkpoint_in is at epoch {ck.epoch}, past epochs = {cfg.epochs}; a resume cannot train fewer epochs than its checkpoint holds")
-        params = _model_params(ck, cfg)
-        optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
         if ck.optimizer_kind not in ("none", cfg.optimizer):
             raise ValueError(f"checkpoint optimizer {ck.optimizer_kind!r} != config {cfg.optimizer!r}")
+    params = _model_params(ck.build_params() if ck else init_params(cfg.seed, ncfg, include_refine=False), cfg)
+    optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
+    if ck is not None:
         optimizer.load_state_dict(ck.optimizer_state)
-        start_epoch = ck.epoch
-    else:
-        params = init_params(cfg.seed, ncfg, include_refine=False)
-        if cfg.refine_checkpoint:
-            load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
-        optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
 
     def batch_loss(indices, epoch):
         images, weaks = _batch_arrays(train_samples, indices, cfg, epoch)
         return weak_batch_loss(params, images, weaks, cfg, ncfg, lcfg, training=True)
 
-    losses = _fit(cfg, params, optimizer, range(len(train_samples)), "shuffle", batch_loss, start_epoch)
+    losses = _fit(cfg, params, optimizer, range(len(train_samples)), "shuffle", batch_loss, ck.epoch if ck else 0)
     return _result(cfg, params, optimizer, losses)
 
 
@@ -279,13 +274,16 @@ def _shapes(params):
     return {**{n: t.data.shape for n, t in params.tensors.items()}, **{n: a.shape for n, a in params.stats.items()}}
 
 
-def _model_params(ck, cfg: RunConfig):
-    """Parameters from a loaded checkpoint, plus the frozen refiner from
-    cfg.refine_checkpoint when one is set. Names and shapes must match the
-    config's parameter skeleton; the first entry that does not is named."""
-    params = ck.build_params()
+def _model_params(params, cfg: RunConfig):
+    """The model: base parameters (fresh from init_params, or built from a
+    checkpoint) plus the frozen refiner of cfg.refine_checkpoint when one is
+    set, which must hold refine.* parameters. Names and shapes must match
+    the config's parameter skeleton; the first entry that does not is named."""
     if cfg.refine_checkpoint:
-        load_checkpoint(cfg.refine_checkpoint).merge_into(params, "refine.", frozen=True)
+        refine = load_checkpoint(cfg.refine_checkpoint)
+        if not any(name.startswith("refine.") for name in refine.tensors):
+            raise CheckpointError(f"refine_checkpoint {cfg.refine_checkpoint} holds no refine.* parameters")
+        refine.merge_into(params, "refine.", frozen=True)
     got = _shapes(params)
     want = _shapes(init_params(0, net_config(cfg), include_refine=has_refine(params)))
     for name in sorted(got.keys() | want.keys()):
@@ -296,7 +294,7 @@ def _model_params(ck, cfg: RunConfig):
 
 def load_model(checkpoint_path, cfg: RunConfig):
     """The model of the checkpoint file at checkpoint_path (see _model_params)."""
-    return _model_params(load_checkpoint(checkpoint_path), cfg)
+    return _model_params(load_checkpoint(checkpoint_path).build_params(), cfg)
 
 
 def predict_batch(params, images_np, cfg, ncfg, use_refine):

@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .pipeline import evaluate, split_dataset, train_refine, train_weak
 from .synth import DatasetSpec, generate_dataset, load_dataset, save_dataset
@@ -42,15 +41,6 @@ def run_seed(seed, root, epochs, refine_epochs):
         DatasetSpec(count=24, size=64, n_objects_min=2, n_objects_max=2, shapes=("ellipse",), noise=0.3, seed=2000 + seed),
     )
 
-    def weak(**kw):
-        cfg = RunConfig(phase="weak", epochs=epochs, batch_size=8, learning_rate=1e-3, dataset_dir=train_dir, seed=seed, **kw)
-        return cfg, train_weak(cfg)
-
-    cfg_full, full = weak()
-    _, enc = weak(use_cnn_gate=False)
-    _, nosc = weak(use_sc=False)
-    cfg_box, fullbox = weak(supervision="fullbox")
-
     rcfg = RunConfig(
         phase="refine",
         epochs=refine_epochs,
@@ -62,7 +52,16 @@ def run_seed(seed, root, epochs, refine_epochs):
         checkpoint_out=os.path.join(root, f"s{seed}_refine.ckpt"),
     )
     train_refine(rcfg)
-    load_checkpoint(rcfg.checkpoint_out).merge_into(full.params, "refine.", frozen=True)
+
+    def weak(**kw):
+        cfg = RunConfig(phase="weak", epochs=epochs, batch_size=8, learning_rate=1e-3, dataset_dir=train_dir, seed=seed, **kw)
+        return cfg, train_weak(cfg)
+
+    # the refiner is frozen, so the full variant trains the same with it as without
+    cfg_full, full = weak(refine_checkpoint=rcfg.checkpoint_out)
+    _, enc = weak(use_cnn_gate=False)
+    _, nosc = weak(use_sc=False)
+    cfg_box, fullbox = weak(supervision="fullbox")
 
     _, m_full, gap_sc = evaluate(cfg_full, full.params, holdout)
     _, m_enc, _ = evaluate(cfg_full, enc.params, holdout)

@@ -9,15 +9,14 @@ dataset regenerates byte-identically from its spec.
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import label as cc_label
 from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
 from .boxes import gt_box_mask
-from .kvcfg import format_kv, parse_kv_file
+from .kvcfg import format_kv, from_kv, parse_kv_file, to_kv
 from .pgm import read_pgm, write_pgm
 
 SHAPE_FAMILIES = ("ellipse", "fused", "annulus")
@@ -43,8 +42,6 @@ class Sample:
     image: np.ndarray
     gt_mask: np.ndarray
     weak_box: np.ndarray
-    seed: int
-    n_objects: int
 
 
 @dataclass(frozen=True)
@@ -191,39 +188,11 @@ def make_sample(spec: DatasetSpec, index: int) -> Sample:
     n = int(rng.integers(spec.n_objects_min, spec.n_objects_max + 1))
     mask = gen_blob_mask(sample_seed, spec.size, n, spec.shapes)
     image = render_image(mask, sample_seed, spec.noise)
-    weak = gt_box_mask(mask)
-    return Sample(image=image, gt_mask=mask, weak_box=weak, seed=sample_seed, n_objects=n)
+    return Sample(image=image, gt_mask=mask, weak_box=gt_box_mask(mask))
 
 
 def generate_dataset(spec: DatasetSpec):
     return [make_sample(spec, i) for i in range(spec.count)]
-
-
-def spec_to_kv(spec: DatasetSpec) -> dict:
-    kv = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        kv[f.name] = ",".join(value) if f.name == "shapes" else str(value)
-    return kv
-
-
-def spec_from_kv(kv: dict) -> DatasetSpec:
-    known = {f.name for f in fields(DatasetSpec)}
-    unknown = set(kv) - known
-    if unknown:
-        raise ValueError(f"unknown dataset spec keys: {sorted(unknown)}")
-    args = {}
-    for f in fields(DatasetSpec):
-        if f.name not in kv:
-            continue
-        raw = kv[f.name]
-        if f.name == "shapes":
-            args[f.name] = tuple(s.strip() for s in raw.split(",") if s.strip())
-        elif f.name == "noise":
-            args[f.name] = float(raw)
-        else:
-            args[f.name] = int(raw)
-    return DatasetSpec(**args)
 
 
 def save_dataset(samples, spec: DatasetSpec, out_dir) -> None:
@@ -236,24 +205,15 @@ def save_dataset(samples, spec: DatasetSpec, out_dir) -> None:
         write_pgm(os.path.join(img_dir, f"{i:04d}.pgm"), sample.image)
         write_pgm(os.path.join(mask_dir, f"{i:04d}.pgm"), sample.gt_mask)
     with open(os.path.join(out_dir, "spec.cfg"), "w", encoding="utf-8") as f:
-        f.write(format_kv(spec_to_kv(spec)))
+        f.write(format_kv(to_kv(spec)))
 
 
 def load_dataset(data_dir):
     """Load (spec, samples) back; weak boxes are rederived from the masks."""
-    spec = spec_from_kv(parse_kv_file(os.path.join(data_dir, "spec.cfg")))
+    spec = from_kv(DatasetSpec, parse_kv_file(os.path.join(data_dir, "spec.cfg")), "dataset spec")
     samples = []
     for i in range(spec.count):
         image = read_pgm(os.path.join(data_dir, "images", f"{i:04d}.pgm"))
         mask = read_pgm(os.path.join(data_dir, "masks", f"{i:04d}.pgm"))
-        _, n = cc_label(mask >= 0.5)
-        samples.append(
-            Sample(
-                image=image,
-                gt_mask=mask,
-                weak_box=gt_box_mask(mask),
-                seed=derive_seed(spec.seed, i),
-                n_objects=int(n),
-            )
-        )
+        samples.append(Sample(image=image, gt_mask=mask, weak_box=gt_box_mask(mask)))
     return spec, samples

@@ -58,13 +58,12 @@ class Tensor:
     """N-d float array with an optional grad slot and tape node.
 
     Data is read-only for op outputs; leaves stay writable so the optimizer
-    can update parameters in place. `frozen` marks parameters the optimizer
-    must never touch.
+    can update parameters in place.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "frozen", "_node", "_is_leaf")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_is_leaf")
 
-    def __init__(self, data, requires_grad=False, dtype=None, frozen=False):
+    def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.array(data, copy=True)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
@@ -73,7 +72,6 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.frozen = bool(frozen)
         self._node = None
         self._is_leaf = True
 
@@ -97,7 +95,6 @@ def _wrap(out_data, inputs, grad_fn):
     out.data = out_data
     out.grad = None
     out.requires_grad = requires
-    out.frozen = False
     out._is_leaf = False
     if requires:
         node = _Node(tuple(inputs), grad_fn)
@@ -168,45 +165,34 @@ def backward(loss):
 # elementwise arithmetic
 
 
-def add(a, b):
-    out = a.data + b.data
-
-    def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _wrap(out, (a, b), grad_fn)
-
-
-def sub(a, b):
-    out = a.data - b.data
-
-    def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape) if b.requires_grad else None
-
-    return _wrap(out, (a, b), grad_fn)
-
-
-def mul(a, b):
-    out = a.data * b.data
+def _binary_grad(a, b, da, db):
+    """Grad function of a binary op from the shares da(g), db(g) of the
+    output gradient, each summed down to its input's shape; an input that
+    needs no gradient gets None and its share is never computed."""
 
     def grad_fn(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(da(g), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(db(g), b.data.shape) if b.requires_grad else None,
         )
 
-    return _wrap(out, (a, b), grad_fn)
+    return grad_fn
+
+
+def add(a, b):
+    return _wrap(a.data + b.data, (a, b), _binary_grad(a, b, lambda g: g, lambda g: g))
+
+
+def sub(a, b):
+    return _wrap(a.data - b.data, (a, b), _binary_grad(a, b, lambda g: g, lambda g: -g))
+
+
+def mul(a, b):
+    return _wrap(a.data * b.data, (a, b), _binary_grad(a, b, lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b):
-    out = a.data / b.data
-
-    def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _wrap(out, (a, b), grad_fn)
+    return _wrap(a.data / b.data, (a, b), _binary_grad(a, b, lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def affine(x, scale, shift):
@@ -221,32 +207,22 @@ def affine(x, scale, shift):
     return _wrap(out, (x,), grad_fn)
 
 
+def _pick_grad(a, b, take_a):
+    """Grad function of an elementwise pick: each output's gradient goes to
+    the input it was taken from."""
+    return _binary_grad(a, b, lambda g: np.where(take_a, g, 0.0), lambda g: np.where(take_a, 0.0, g))
+
+
 def minimum(a, b):
     """Elementwise min; on ties the gradient routes to the first argument."""
     take_a = a.data <= b.data
-    out = np.where(take_a, a.data, b.data)
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(np.where(take_a, g, 0.0), a.data.shape) if a.requires_grad else None,
-            _unbroadcast(np.where(take_a, 0.0, g), b.data.shape) if b.requires_grad else None,
-        )
-
-    return _wrap(out, (a, b), grad_fn)
+    return _wrap(np.where(take_a, a.data, b.data), (a, b), _pick_grad(a, b, take_a))
 
 
 def maximum(a, b):
     """Elementwise max; on ties the gradient routes to the first argument."""
     take_a = a.data >= b.data
-    out = np.where(take_a, a.data, b.data)
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(np.where(take_a, g, 0.0), a.data.shape) if a.requires_grad else None,
-            _unbroadcast(np.where(take_a, 0.0, g), b.data.shape) if b.requires_grad else None,
-        )
-
-    return _wrap(out, (a, b), grad_fn)
+    return _wrap(np.where(take_a, a.data, b.data), (a, b), _pick_grad(a, b, take_a))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def test_save_load_roundtrip(tmp_path):
     assert ck.epoch == 7 and ck.seed == 42 and ck.optimizer_kind == "adamw"
     for name, t in store.tensors.items():
         assert np.array_equal(ck.tensors[name], t.data)
-        assert ck.frozen(name) == t.frozen
+        assert ck.frozen(name) == (not t.requires_grad)
     assert np.array_equal(ck.stats["a.bn.running_mean"], store.stats["a.bn.running_mean"])
     assert ck.optimizer_state["step"] == 1
     assert np.array_equal(ck.optimizer_state["m"]["a.w"], opt.m["a.w"])
@@ -103,7 +103,6 @@ def test_merge_into_respects_prefix_and_frozen(tmp_path):
     assert "refine.out.w" not in target.tensors
     load_checkpoint(path).merge_into(target, "refine.", frozen=True)
     assert "refine.out.w" in target.tensors
-    assert target["refine.out.w"].frozen
     assert not target["refine.out.w"].requires_grad
     assert np.array_equal(target["refine.out.w"].data, donor["refine.out.w"].data)
 

@@ -161,6 +161,21 @@ def test_infer_untrained_refine_is_identity(workspace, tmp_path):
         assert a.read() == b.read()
 
 
+def test_refine_checkpoint_without_refiner_is_data_error(workspace, tmp_path, capsys):
+    root, _, run_cfg = workspace
+    weak_dir = str(tmp_path / "weak")
+    assert main(["train-weak", "--config", run_cfg, "--out", weak_dir]) == EXIT_OK
+    weak_ckpt = os.path.join(weak_dir, "weak.ckpt")
+    capsys.readouterr()
+    cfg = write_file(root / "weak_as_refiner.cfg", f"dataset_dir = data\nepochs = 1\nseed = 5\nrefine_checkpoint = {weak_ckpt}\n")
+    out_dir = tmp_path / "combo"
+    assert main(["train-weak", "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
+    assert f"refine_checkpoint {weak_ckpt} holds no refine" in capsys.readouterr().err
+    assert not (out_dir / "weak.ckpt").exists()
+    assert main(["eval", "--config", cfg, "--checkpoint", weak_ckpt, "--out", str(tmp_path / "e"), "--refined"]) == EXIT_DATA
+    assert "refine_checkpoint" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint(workspace, tmp_path):
     _, _, run_cfg = workspace
     code = main(["eval", "--config", run_cfg, "--checkpoint", str(tmp_path / "nope.ckpt"), "--out", str(tmp_path / "e")])

@@ -95,6 +95,14 @@ def test_validation_rejects(tmp_path, line):
         load_run_config(path)
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "beta", "smooth_eps", "weight_decay"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_values_rejected(tmp_path, key, raw):
+    path = write_cfg(tmp_path, f"{key} = {raw}\n")
+    with pytest.raises(ValueError, match=f"^{key}: expected a finite number"):
+        load_run_config(path)
+
+
 def test_zero_learning_rate_allowed(tmp_path):
     path = write_cfg(tmp_path, "learning_rate = 0\n")
     assert load_run_config(path).learning_rate == 0.0

@@ -89,7 +89,7 @@ def test_encoder_matches_cnn_output_shape(params):
 
 
 def test_encoder_frozen_flags(params):
-    frozen = [n for n, t in params.tensors.items() if t.frozen]
+    frozen = [n for n, t in params.tensors.items() if not t.requires_grad]
     assert frozen and all(n.startswith("encoder.") for n in frozen)
 
 
@@ -104,7 +104,7 @@ def test_encoder_zero_weights_zero_features():
 
 def test_frozen_params_survive_optimizer_steps():
     p = init_params(9, NetConfig())
-    before = {n: t.data.copy() for n, t in p.tensors.items() if t.frozen}
+    before = {n: t.data.copy() for n, t in p.tensors.items() if not t.requires_grad}
     opt = AdamW(p, lr=0.05)
     x = _image(7, batch=1)
     for _ in range(3):
@@ -120,7 +120,7 @@ def test_frozen_params_survive_optimizer_steps():
 
 def test_sgd_also_honors_frozen():
     p = init_params(10, NetConfig())
-    before = {n: t.data.copy() for n, t in p.tensors.items() if t.frozen}
+    before = {n: t.data.copy() for n, t in p.tensors.items() if not t.requires_grad}
     opt = SGD(p, lr=0.5)
     enc = global_encoder_forward(p, _image(8, batch=1))
     head = cnn_block_forward(p, _image(8, batch=1), training=True)

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def test_train_weak_frozen_encoder_untouched(tiny_dataset_dir):
     for name in reference.names():
         if name.startswith("encoder."):
             assert np.array_equal(result.params[name].data, reference[name].data)
-        assert result.params[name].frozen == reference[name].frozen
+        assert result.params[name].requires_grad == reference[name].requires_grad
 
 
 def test_train_weak_checkpoint_and_loss_log(tiny_dataset_dir, tmp_path):
@@ -166,6 +167,17 @@ def test_train_weak_resume_merges_refine_checkpoint(tiny_dataset_dir, tmp_path):
     assert runs["resumed"] == runs["straight"]
 
 
+@pytest.mark.parametrize("resume", [False, True])
+def test_train_weak_rejects_refine_checkpoint_without_refiner(tiny_dataset_dir, tmp_path, resume):
+    # a weak checkpoint given as the refiner is an error, not a model without one
+    weak_ckpt = os.path.join(str(tmp_path), "weak.ckpt")
+    save_checkpoint(weak_ckpt, init_params(3, net_config(cfg_for(tiny_dataset_dir)), include_refine=False), "adamw")
+    cfg = cfg_for(tiny_dataset_dir, tmp_path, epochs=1, refine_checkpoint=weak_ckpt, checkpoint_in=weak_ckpt if resume else "")
+    with pytest.raises(CheckpointError, match=re.escape(f"refine_checkpoint {weak_ckpt} holds no refine")):
+        train_weak(cfg)
+    assert not os.path.exists(cfg.checkpoint_out)
+
+
 def test_weak_phase_never_reaches_refine(tiny_dataset_dir, tmp_path):
     rcfg = cfg_for(tiny_dataset_dir, phase="refine", epochs=2, batch_size=4, refine_label_fraction=0.3)
     rcfg.checkpoint_out = os.path.join(str(tmp_path), "refine.ckpt")
@@ -178,7 +190,7 @@ def test_weak_phase_never_reaches_refine(tiny_dataset_dir, tmp_path):
     result = train_weak(wcfg)
     for name, arr in before.tensors.items():
         t = result.params[name]
-        assert t.frozen and t.grad is None
+        assert not t.requires_grad and t.grad is None
         assert np.array_equal(t.data, arr), name
     after = load_checkpoint(wcfg.checkpoint_out)
     for name, arr in before.tensors.items():
@@ -194,11 +206,11 @@ def test_train_weak_sgd_path(tiny_dataset_dir):
     reference = init_params(cfg.seed, net_config(cfg), include_refine=False)
     result = train_weak(cfg)
     changed = any(
-        not np.array_equal(result.params[n].data, t.data) for n, t in reference.tensors.items() if not t.frozen
+        not np.array_equal(result.params[n].data, t.data) for n, t in reference.tensors.items() if t.requires_grad
     )
     assert changed
     for name, t in reference.tensors.items():
-        if t.frozen:
+        if not t.requires_grad:
             assert np.array_equal(result.params[name].data, t.data)
 
 
