@@ -9,6 +9,7 @@ picks the first winner in row-major scan order.
 """
 
 import contextlib
+import ctypes
 import itertools
 
 import numpy as np
@@ -17,6 +18,35 @@ DEFAULT_DTYPE = np.float32
 
 _node_ids = itertools.count()
 _grad_enabled = True
+
+
+def _pin_heap_thresholds():
+    """Keep freed multi-MiB temporaries in the process heap (glibc only).
+
+    A training step allocates and frees the same tens of MiB of temporaries
+    every time. By default glibc serves blocks over 128 KiB with mmap (that
+    threshold only rises after an mmapped block is freed) and returns the free
+    heap top to the OS, so each step faults the same pages in again. Raising
+    the mmap threshold to its 64-bit maximum and the trim threshold above it
+    keeps those pages mapped for reuse. Both must be set: setting either one
+    freezes the other at its default. The setting is process-wide; it changes
+    no result. Returns whether it was applied.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return False
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mmap_set = libc.mallopt(m_mmap_threshold, 32 << 20)
+    trim_set = libc.mallopt(m_trim_threshold, 64 << 20)
+    return bool(mmap_set and trim_set)
+
+
+HEAP_PINNED = _pin_heap_thresholds()
 
 
 @contextlib.contextmanager
@@ -278,12 +308,11 @@ def plane(x, b, c):
 
 
 def sigmoid(x):
+    """1 / (1 + exp(-x)), computed from exp(-|x|) so that exp never overflows."""
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(d))
+    den = 1.0 + ex
+    out = np.where(d >= 0, 1.0 / den, ex / den)
 
     def grad_fn(g):
         return (g * out * (1.0 - out),)
@@ -407,15 +436,22 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d output would be empty: input {x.data.shape}, kernel {w.data.shape}, stride {s}, pad {p}, dilation {d}")
 
-    # the spare phase row keeps every tap slice in bounds; wp - ow wrap columns are dropped
-    hp, wp = oh + d * (k1 - 1) // s + 1, ow + d * (k2 - 1) // s
+    # wp - ow wrap columns are dropped; when there are any, the spare phase row keeps
+    # every tap slice in bounds
+    wrap = d * (k2 - 1) // s
+    hp, wp = oh + d * (k1 - 1) // s + (wrap > 0), ow + wrap
     n = oh * wp
     phases = sorted({(u * d % s, v * d % s) for u in range(k1) for v in range(k2)})
     cuts = [(_phase_cut(h, p, s, a, hp), _phase_cut(wd, p, s, b, wp)) for a, b in phases]
-    xf = np.zeros((bsz, len(phases), cin, hp, wp), dtype=x.data.dtype)
-    for i, ((ri, rq), (ci, cq)) in enumerate(cuts):
-        xf[:, i, :, rq, cq] = x.data[:, :, ri, ci]
-    xf = xf.reshape(bsz, len(phases), cin, hp * wp)
+    # at stride 1 and pad 0 the one phase image may be the input itself
+    xf_is_x = s == 1 and p == 0 and (hp, wp) == (h, wd)
+    if xf_is_x:
+        xf = x.data.reshape(bsz, 1, cin, h * wd)
+    else:
+        xf = np.zeros((bsz, len(phases), cin, hp, wp), dtype=x.data.dtype)
+        for i, ((ri, rq), (ci, cq)) in enumerate(cuts):
+            xf[:, i, :, rq, cq] = x.data[:, :, ri, ci]
+        xf = xf.reshape(bsz, len(phases), cin, hp * wp)
     taps = [(u, v, phases.index((u * d % s, v * d % s)), (u * d // s) * wp + v * d // s) for u in range(k1) for v in range(k2)]
     acc = np.zeros((bsz, cout, n), dtype=x.data.dtype)
     for u, v, i, off in taps:
@@ -427,9 +463,12 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
     inputs = (x, w) if bias is None else (x, w, bias)
 
     def grad_fn(g):
-        gf = np.zeros((bsz, cout, oh, wp), dtype=g.dtype)
-        gf[..., :ow] = g
-        gf = gf.reshape(bsz, cout, n)
+        if wrap:
+            gf = np.zeros((bsz, cout, oh, wp), dtype=g.dtype)
+            gf[..., :ow] = g
+            gf = gf.reshape(bsz, cout, n)
+        else:
+            gf = g.reshape(bsz, cout, n)
         gw = np.empty_like(w.data)
         gxf = np.zeros_like(xf) if x.requires_grad else None
         for u, v, i, off in taps:
@@ -438,7 +477,9 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
             if gxf is not None:
                 gxf[:, i, :, off : off + n] += w.data[:, :, u, v].T @ gf
         gx = None
-        if gxf is not None:
+        if xf_is_x and gxf is not None:
+            gx = gxf.reshape(x.data.shape)
+        elif gxf is not None:
             gx = np.zeros_like(x.data)
             for i, ((ri, rq), (ci, cq)) in enumerate(cuts):
                 gx[:, :, ri, ci] = gxf.reshape(bsz, len(phases), cin, hp, wp)[:, i, :, rq, cq]
@@ -451,25 +492,30 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
 
 def maxpool2d(x):
     """2x2 max pool, stride 2. Odd spatial dims are padded to even with -inf.
-    Gradient goes to the first argmax in row-major window order."""
+    Gradient goes to the first argmax in row-major window order; a window
+    holding NaN outputs NaN and sends its gradient to its first NaN. A window
+    whose maximum is zero of both signs may output either zero."""
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects NCHW, got {x.data.shape}")
-    bsz, c, h, w = x.data.shape
-    ph, pw = h % 2, w % 2
+    h, w = x.data.shape[2:]
     xd = x.data
-    if ph or pw:
-        xd = np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
-    hh, ww = xd.shape[2] // 2, xd.shape[3] // 2
-    windows = xd.reshape(bsz, c, hh, 2, ww, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, hh, ww, 4)
-    idx = np.argmax(windows, axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    out = np.ascontiguousarray(out)
+    if h % 2 or w % 2:
+        xd = np.pad(xd, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), constant_values=-np.inf)
+    corners = ((0, 0), (0, 1), (1, 0), (1, 1))
+    a, b, c, d = (xd[..., i::2, j::2] for i, j in corners)
+    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
 
     def grad_fn(g):
-        gwin = np.zeros_like(windows)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gxp = gwin.reshape(bsz, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, hh * 2, ww * 2)
-        return (np.ascontiguousarray(gxp[:, :, : h, : w]),)
+        gx = np.empty_like(xd)
+        # each corner in turn takes the gradient of the windows it wins and
+        # passes the rest on; the last corner takes what is left
+        rest = g
+        for (i, j), v in zip(corners[:3], (a, b, c)):
+            won = (v == out) | np.isnan(v)
+            gx[..., i::2, j::2] = np.where(won, rest, 0.0)
+            rest = np.where(won, 0.0, rest)
+        gx[..., 1::2, 1::2] = rest
+        return (np.ascontiguousarray(gx[..., :h, :w]),)
 
     return _wrap(out, (x,), grad_fn)
 
@@ -514,7 +560,11 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     dt = x.data.dtype
     if training:
         mu = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
-        var = ((x.data.astype(np.float64) - mu[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
+        sq = x.data.astype(np.float64)
+        sq -= mu[None, :, None, None]
+        np.square(sq, out=sq)
+        var = sq.mean(axis=(0, 2, 3))
+        del sq
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu
         running_var *= momentum
@@ -525,24 +575,32 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
         mu = running_mean.astype(dt)
         var = running_var.astype(dt)
 
-    inv = 1.0 / np.sqrt(var + dt.type(eps))
-    xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    # temporaries below are reused in place, in the operation order of
+    # gamma * (x - mu) * inv + beta and its gradient
+    inv = (1.0 / np.sqrt(var + dt.type(eps)))[None, :, None, None]
+    xhat = x.data - mu[None, :, None, None]
+    xhat *= inv
+    out = xhat * gamma.data[None, :, None, None]
+    out += beta.data[None, :, None, None]
 
     def grad_fn(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
+        t = g * xhat
+        ggamma = t.sum(axis=(0, 2, 3))
         gbeta = g.sum(axis=(0, 2, 3))
-        gxhat = g * gamma.data[None, :, None, None]
+        gx = g * gamma.data[None, :, None, None]
         if not training:
-            return gxhat * inv[None, :, None, None], ggamma, gbeta
+            gx *= inv
+            return gx, ggamma, gbeta
         n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        sum_gxhat = gxhat.sum(axis=(0, 2, 3))
-        sum_gxhat_xhat = (gxhat * xhat).sum(axis=(0, 2, 3))
-        gx = (inv[None, :, None, None] / n) * (
-            n * gxhat
-            - sum_gxhat[None, :, None, None]
-            - xhat * sum_gxhat_xhat[None, :, None, None]
-        )
+        sum_gxhat = gx.sum(axis=(0, 2, 3))
+        np.multiply(gx, xhat, out=t)
+        sum_gxhat_xhat = t.sum(axis=(0, 2, 3))
+        np.multiply(xhat, sum_gxhat_xhat[None, :, None, None], out=t)
+        # gx = (inv / n) * (n * gxhat - sum_gxhat - xhat * sum_gxhat_xhat)
+        gx *= n
+        gx -= sum_gxhat[None, :, None, None]
+        gx -= t
+        gx *= inv / n
         return gx, ggamma, gbeta
 
     return _wrap(out, (x, gamma, beta), grad_fn)

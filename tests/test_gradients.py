@@ -45,8 +45,9 @@ def test_check_instance_deterministic():
 
 
 # (input HxW, kernel, stride, pad, dilation): the CNN-block skips, the strided
-# encoder and CNN-block convs, the dilated encoder conv, and a 5x5 stride-3 case
-MODEL_CONVS = (((6, 6), 1, 2, 0, 1), ((6, 6), 3, 2, 1, 1), ((5, 5), 3, 1, 2, 2), ((7, 8), 5, 3, 2, 1))
+# encoder and CNN-block convs, the dilated encoder conv, a 5x5 stride-3 case,
+# and the refiner's 1x1 convs, whose phase image is the input itself
+MODEL_CONVS = (((6, 6), 1, 2, 0, 1), ((6, 6), 3, 2, 1, 1), ((5, 5), 3, 1, 2, 2), ((7, 8), 5, 3, 2, 1), ((6, 6), 1, 1, 0, 1))
 
 
 @pytest.mark.parametrize("size, k, stride, pad, dilation", MODEL_CONVS)

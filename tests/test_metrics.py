@@ -148,6 +148,26 @@ def test_hd95_matches_brute_force_oracle():
         assert abs(hd95(pred, gt) - hd95_oracle(pred, gt)) <= 1e-9
 
 
+def test_hd95_equals_all_pairs_oracle_exactly():
+    rng = np.random.default_rng(8)
+    pairs = []
+    for _ in range(150):
+        h, w = (int(v) for v in rng.integers(1, 33, 2))
+        pairs.append(tuple((rng.uniform(0, 1, (h, w)) < rng.uniform(0.02, 0.6)).astype(np.float32) for _ in range(2)))
+    single = np.zeros((9, 11), dtype=np.float32)
+    single[4, 6] = 1.0
+    outer = np.zeros((16, 16), dtype=np.float32)
+    outer[2:14, 3:15] = 1.0
+    inner = np.zeros_like(outer)
+    inner[6:9, 7:11] = 1.0
+    far = np.zeros_like(outer)
+    far[13:16, 0:2] = 1.0
+    pairs += [(single, single), (single, np.roll(single, 3, axis=1)), (outer, inner), (inner, far), (outer, far)]
+    for pred, gt in pairs:
+        if pred.any() and gt.any():
+            assert hd95(pred, gt) == hd95_oracle(pred, gt)
+
+
 def test_hd95_symmetry_and_translation():
     rng = np.random.default_rng(7)
     a = np.zeros((20, 20), dtype=np.float32)

@@ -350,3 +350,175 @@ def test_batchnorm_running_stats_update_and_eval():
     out_eval = T.batchnorm2d(T.Tensor(x), gamma, beta, rm.copy(), rv.copy(), training=False)
     expect = (x[:, 0] - rm[0]) / np.sqrt(rv[0] + 1e-5)
     assert np.allclose(out_eval.data[:, 0], expect, atol=1e-4)
+
+
+# Reference kernels: the plain-indexing maxpool2d, sigmoid and batchnorm2d the
+# strided-view and in-place kernels replaced. Each returns the output and the
+# input gradients for an upstream gradient g; the kernels must match bit for bit.
+
+
+def _maxpool2d_reference(x, g):
+    bsz, c, h, w = x.shape
+    ph, pw = h % 2, w % 2
+    xd = x
+    if ph or pw:
+        xd = np.pad(xd, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=-np.inf)
+    hh, ww = xd.shape[2] // 2, xd.shape[3] // 2
+    windows = xd.reshape(bsz, c, hh, 2, ww, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, hh, ww, 4)
+    idx = np.argmax(windows, axis=-1)
+    out = np.ascontiguousarray(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    gwin = np.zeros_like(windows)
+    np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
+    gxp = gwin.reshape(bsz, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, hh * 2, ww * 2)
+    return out, (np.ascontiguousarray(gxp[:, :, :h, :w]),)
+
+
+def _sigmoid_reference(d, g):
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out, (g * out * (1.0 - out),)
+
+
+def _batchnorm2d_reference(x, gamma, beta, running_mean, running_var, training, g, momentum=0.9, eps=1e-5):
+    dt = x.dtype
+    if training:
+        mu = x.mean(axis=(0, 2, 3), dtype=np.float64)
+        var = ((x.astype(np.float64) - mu[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mu
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
+        mu = mu.astype(dt)
+        var = var.astype(dt)
+    else:
+        mu = running_mean.astype(dt)
+        var = running_var.astype(dt)
+    inv = 1.0 / np.sqrt(var + dt.type(eps))
+    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    ggamma = (g * xhat).sum(axis=(0, 2, 3))
+    gbeta = g.sum(axis=(0, 2, 3))
+    gxhat = g * gamma[None, :, None, None]
+    if not training:
+        return out, (gxhat * inv[None, :, None, None], ggamma, gbeta)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    sum_gxhat = gxhat.sum(axis=(0, 2, 3))
+    sum_gxhat_xhat = (gxhat * xhat).sum(axis=(0, 2, 3))
+    gx = (inv[None, :, None, None] / n) * (n * gxhat - sum_gxhat[None, :, None, None] - xhat * sum_gxhat_xhat[None, :, None, None])
+    return out, (gx, ggamma, gbeta)
+
+
+def _assert_same(got, want, signed_zero=True):
+    """Equal dtype, shape, values and NaN positions; with signed_zero, also
+    the sign of every non-NaN value (so -0.0 and 0.0 differ)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    if signed_zero:
+        assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+def _run_op(op, arrays, g):
+    """Output and input gradients of a tape op, the gradients for upstream g."""
+    inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*inputs)
+    return out.data, out._node.grad_fn(g)
+
+
+def _special_draw(rng, shape):
+    """float32 draw mixing ties (small integers), +-inf, -0.0 and +-(87..104),
+    where float32 exp underflows."""
+    x = rng.integers(-3, 4, shape).astype(np.float32)
+    pick = rng.integers(0, 6, shape)
+    big, normal = pick == 1, pick == 2
+    x[big] = rng.uniform(87, 104, big.sum()) * rng.choice((-1, 1), big.sum())
+    x[normal] = rng.normal(0, 3, normal.sum())
+    x[pick == 3] = -0.0
+    x[(pick == 4) & (rng.uniform(size=shape) < 0.2)] = np.inf
+    x[(pick == 5) & (rng.uniform(size=shape) < 0.2)] = -np.inf
+    return x
+
+
+@pytest.mark.parametrize("bsz", [1, 4])
+def test_maxpool2d_matches_reference_kernel(bsz):
+    rng = np.random.default_rng(11)
+    for h, w in ((2, 2), (6, 8), (7, 8), (6, 9), (5, 5), (1, 3), (32, 32)):
+        for x in (_special_draw(rng, (bsz, 3, h, w)), rng.normal(0, 1, (bsz, 3, h, w)).astype(np.float32)):
+            g = rng.uniform(-1, 1, (bsz, 3, (h + 1) // 2, (w + 1) // 2)).astype(np.float32)
+            out, grads = _run_op(T.maxpool2d, [x], g)
+            want_out, want_grads = _maxpool2d_reference(x, g)
+            # a window whose maximum is a zero of both signs may give either zero
+            _assert_same(out, want_out, signed_zero=False)
+            _assert_same(grads[0], want_grads[0])
+
+
+def test_maxpool2d_nan_window_routes_to_first_nan():
+    rng = np.random.default_rng(12)
+    x = rng.normal(0, 1, (2, 2, 6, 7)).astype(np.float32)
+    x[rng.uniform(size=x.shape) < 0.15] = np.nan
+    x[0, 0, 0:2, 0:2] = [[1.0, np.nan], [np.nan, 2.0]]
+    g = rng.uniform(-1, 1, (2, 2, 3, 4)).astype(np.float32)
+    out, (gx,) = _run_op(T.maxpool2d, [x], g)
+    want_out, (want_gx,) = _maxpool2d_reference(x, g)
+    _assert_same(out, want_out, signed_zero=False)
+    _assert_same(gx, want_gx)
+    assert np.isnan(out[0, 0, 0, 0])
+    assert gx[0, 0, 0:2, 0:2].tolist() == [[0.0, g[0, 0, 0, 0]], [0.0, 0.0]]
+
+
+def test_sigmoid_matches_reference_kernel():
+    rng = np.random.default_rng(13)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 87.0, -87.0, 88.8, -88.8, 104.0, -104.0, 1e-30, -1e-30], dtype=np.float32)
+    for x in (specials, _special_draw(rng, (4, 2, 9, 7)), rng.uniform(-104, 104, (1, 3, 16, 16)).astype(np.float32)):
+        g = rng.uniform(-1, 1, x.shape).astype(np.float32)
+        out, grads = _run_op(T.sigmoid, [x], g)
+        want_out, want_grads = _sigmoid_reference(x, g)
+        _assert_same(out, want_out)
+        _assert_same(grads[0], want_grads[0])
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("bsz", [1, 4])
+def test_batchnorm2d_matches_reference_kernel(training, bsz):
+    rng = np.random.default_rng(14)
+    for h, w in ((5, 7), (16, 16)):
+        x = rng.normal(1.5, 2.0, (bsz, 3, h, w)).astype(np.float32)
+        x.reshape(-1)[::7] = -0.0
+        gamma = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+        beta = rng.uniform(-0.5, 0.5, 3).astype(np.float32)
+        g = rng.uniform(-1, 1, x.shape).astype(np.float32)
+        stats = rng.uniform(0.5, 1.5, 3).astype(np.float32), rng.uniform(0.5, 1.5, 3).astype(np.float32)
+        rm, rv = (s.copy() for s in stats)
+        out, grads = _run_op(lambda xt, gt, bt: T.batchnorm2d(xt, gt, bt, rm, rv, training), [x, gamma, beta], g)
+        want_rm, want_rv = (s.copy() for s in stats)
+        want_out, want_grads = _batchnorm2d_reference(x, gamma, beta, want_rm, want_rv, training, g)
+        _assert_same(out, want_out)
+        for got, want in zip(grads, want_grads):
+            _assert_same(got, want)
+        _assert_same(rm, want_rm)
+        _assert_same(rv, want_rv)
+
+
+@pytest.mark.skipif(not T.HEAP_PINNED, reason="mallopt is unavailable")
+def test_freed_temporaries_stay_mapped():
+    import resource
+
+    # a step's multi-MiB temporaries, allocated together and then freed: with
+    # the heap thresholds pinned, later cycles reuse the pages already faulted in
+    def cycle():
+        arrays = []
+        for mib in (3, 1, 2, 4, 1, 3):
+            a = np.empty(mib << 20, dtype=np.uint8)
+            a.fill(1)
+            arrays.append(a)
+        del arrays
+
+    cycle()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        cycle()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
