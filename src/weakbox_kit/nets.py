@@ -260,24 +260,34 @@ def scale_coords(coords, src, dst):
     )
 
 
-def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig, use_cnn_gate=True):
-    """Self-prompted forward on both scales of the scale pair.
+def scale_one_forward(params, images, prompt_for, training, cfg: NetConfig, use_cnn_gate=True):
+    """Self-prompted forward at the first scale of the scale pair; returns
+    (logits at scale_pair[0], prompts in the native frame).
 
     `images` is square NCHW at the native resolution. The scale-one features
     are encoded once: a no-tape neutral-prompt head pass over them gives each
     probability plane, `prompt_for` maps a plane to a box prompt (or None),
-    and the prompted head reruns on the same features. Prompts are returned
-    in the native frame; prob_b_up is the second scale resized to the first.
+    and the prompted head reruns on the same features.
     """
     _, _, native, width = images.data.shape
     if native != width:
         raise ValueError(f"images must be square, got {native}x{width} (height x width)")
-    s_a, s_b = cfg.scale_pair
-    feats_a = encode(params, T.bilinear_resize(images, s_a, s_a), training, use_cnn_gate)
+    s_a = cfg.scale_pair[0]
+    feats = encode(params, T.bilinear_resize(images, s_a, s_a), training, use_cnn_gate)
     with T.no_grad():
-        neutral = T.sigmoid(seg_head_forward(params, feats_a, None, training)).data
+        neutral = T.sigmoid(seg_head_forward(params, feats, None, training)).data
     prompts = [scale_coords(prompt_for(plane[0]), s_a, native) for plane in neutral]
-    logits_a = seg_head_forward(params, feats_a, [scale_coords(c, native, s_a) for c in prompts], training)
+    logits = seg_head_forward(params, feats, [scale_coords(c, native, s_a) for c in prompts], training)
+    return logits, prompts
+
+
+def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig, use_cnn_gate=True):
+    """scale_one_forward, then the second scale prompted with the same boxes,
+    for the scale-consistency loss; prob_b_up is the second scale resized to
+    the first."""
+    logits_a, prompts = scale_one_forward(params, images, prompt_for, training, cfg, use_cnn_gate)
+    native = images.data.shape[2]
+    s_a, s_b = cfg.scale_pair
     x_b = T.bilinear_resize(images, s_b, s_b)
     logits_b = single_scale_forward(params, x_b, [scale_coords(c, native, s_b) for c in prompts], training, use_cnn_gate)
     prob_a = T.sigmoid(logits_a)

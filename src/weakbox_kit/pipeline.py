@@ -24,7 +24,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import LossConfig, Phase, branch_loss, detail_refine_loss, mm2b_loss, sc_loss, total_loss
 from .metrics import acc_sen_spe, confusion_counts, dsc_miou, hd95
-from .nets import NetConfig, detail_refine_forward, init_params, two_scale_forward
+from .nets import NetConfig, detail_refine_forward, init_params, scale_one_forward, two_scale_forward
 from .nets import single_scale_forward  # noqa: F401  perfbench/tracing.py patches this name here
 from .optim import make_optimizer
 from .reports import MetricsRow
@@ -297,24 +297,28 @@ def load_model(checkpoint_path, cfg: RunConfig):
     return _model_params(load_checkpoint(checkpoint_path).build_params(), cfg)
 
 
-def predict_batch(params, images_np, cfg, ncfg, use_refine):
-    """Eval-mode prompted prediction. Returns (coarse probs, refined probs or
-    None, prompts, in-box scale-gap inputs) as numpy arrays at native size."""
+def predict_batch(params, images_np, cfg, ncfg, use_refine, scale_gap=False):
+    """Eval-mode prompted prediction from the scale-one pass. Returns (coarse
+    probs, refined probs or None, prompts, in-box scale-gap inputs) as numpy
+    arrays at native size. The gap inputs, (scale-one probs, scale-two probs
+    resized to scale one), need the second scale and are None unless
+    scale_gap is set; in eval mode that pass changes no state."""
     with T.no_grad():
         x = T.Tensor(images_np, dtype=np.float32)
-        out = two_scale_forward(params, x, prompt_from_probability, False, ncfg, cfg.use_cnn_gate)
+        gap = None
+        if scale_gap:
+            out = two_scale_forward(params, x, prompt_from_probability, False, ncfg, cfg.use_cnn_gate)
+            logits_a, prompts = out.logits_a, out.prompts
+            gap = (out.prob_a.data.copy(), out.prob_b_up.data.copy())
+        else:
+            logits_a, prompts = scale_one_forward(params, x, prompt_from_probability, False, ncfg, cfg.use_cnn_gate)
         native = images_np.shape[2]
-        logits = T.bilinear_resize(out.logits_a, native, native)
+        logits = T.bilinear_resize(logits_a, native, native)
         coarse = T.sigmoid(logits)
         refined = None
         if use_refine:
             refined = T.sigmoid(detail_refine_forward(params, logits, x, training=False).refined)
-        return (
-            coarse.data.copy(),
-            None if refined is None else refined.data.copy(),
-            out.prompts,
-            (out.prob_a.data.copy(), out.prob_b_up.data.copy()),
-        )
+        return coarse.data.copy(), None if refined is None else refined.data.copy(), prompts, gap
 
 
 def evaluate_predictions(preds, gts, sample_ids=None):
@@ -360,7 +364,7 @@ def evaluate(cfg: RunConfig, params, samples, use_refine=False, sample_ids=None)
     for lo in range(0, len(samples), cfg.batch_size):
         chunk = samples[lo : lo + cfg.batch_size]
         images = np.stack([s.image[None] for s in chunk]).astype(np.float32)
-        coarse, refined, _, (pa, pb) = predict_batch(params, images, cfg, ncfg, use_refine)
+        coarse, refined, _, (pa, pb) = predict_batch(params, images, cfg, ncfg, use_refine, scale_gap=True)
         chosen = refined if use_refine else coarse
         for b, s in enumerate(chunk):
             preds.append(chosen[b, 0])

@@ -52,8 +52,13 @@ MODEL_CONVS = (((6, 6), 1, 2, 0, 1), ((6, 6), 3, 2, 1, 1), ((5, 5), 3, 1, 2, 2),
 
 @pytest.mark.parametrize("size, k, stride, pad, dilation", MODEL_CONVS)
 def test_conv2d_gradcheck_at_model_configs(size, k, stride, pad, dilation):
-    def builder(rng):
-        arrays = [rng.uniform(-2, 2, (2, 2) + size), rng.uniform(-1, 1, (3, 2, k, k)), rng.uniform(-1, 1, (3,))]
-        return arrays, lambda x, w, b: T.conv2d(x, w, bias=b, stride=stride, pad=pad, dilation=dilation)
+    # 2 -> 3, then 1 -> 3 (the encoder's and CNN block's first convs) and
+    # 3 -> 1 (the logit convs), which take the inner-dimension-1 tap product
+    for cin, cout in ((2, 3), (1, 3), (3, 1)):
 
-    assert check_instance(builder, rng_from_key(0, "gradcheck", "conv2d_model", k, stride)) <= 1e-3
+        def builder(rng):
+            arrays = [rng.uniform(-2, 2, (2, cin) + size), rng.uniform(-1, 1, (cout, cin, k, k)), rng.uniform(-1, 1, (cout,))]
+            return arrays, lambda x, w, b: T.conv2d(x, w, bias=b, stride=stride, pad=pad, dilation=dilation)
+
+        key = (k, stride) if (cin, cout) == (2, 3) else (k, stride, cin, cout)
+        assert check_instance(builder, rng_from_key(0, "gradcheck", "conv2d_model", *key)) <= 1e-3, (cin, cout)

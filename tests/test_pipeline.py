@@ -9,7 +9,8 @@ from weakbox_kit.boxes import BoxCoords, Center, EmptyMaskError, backproject_min
 from weakbox_kit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from weakbox_kit.config import RunConfig
 from weakbox_kit.losses import Phase, branch_loss, sc_loss, total_loss
-from weakbox_kit.nets import NetConfig, init_params, scale_coords, single_scale_forward
+from weakbox_kit import nets
+from weakbox_kit.nets import NetConfig, detail_refine_forward, init_params, scale_coords, single_scale_forward, two_scale_forward
 from weakbox_kit.pipeline import (
     augment_pair,
     degrade_mask,
@@ -353,6 +354,80 @@ def test_predict_batch_rejects_non_square_image():
     image = np.zeros((1, 1, 64, 40), dtype=np.float32)
     with pytest.raises(ValueError, match="square, got 64x40"):
         predict_batch(params, image, cfg, ncfg, use_refine=False)
+
+
+def _model_with_refiner(seed):
+    """An init model whose refiner output conv is drawn, so the refined map
+    differs from the coarse one."""
+    params = init_params(seed, NetConfig(), include_refine=True)
+    rng = np.random.default_rng(seed)
+    for name in ("refine.out.w", "refine.out.b"):
+        params[name].data[...] = rng.normal(0, 0.1, params[name].data.shape)
+    return params
+
+
+def _two_scale_predict(params, images, cfg, use_refine):
+    """predict_batch's four items read off the full two-scale forward."""
+    with T.no_grad():
+        x = T.Tensor(images)
+        out = two_scale_forward(params, x, prompt_from_probability, False, net_config(cfg), cfg.use_cnn_gate)
+        logits = T.bilinear_resize(out.logits_a, images.shape[2], images.shape[3])
+        refined = T.sigmoid(detail_refine_forward(params, logits, x, training=False).refined).data if use_refine else None
+        return T.sigmoid(logits).data, refined, out.prompts, (out.prob_a.data, out.prob_b_up.data)
+
+
+@pytest.mark.parametrize("size", [64, 48])
+@pytest.mark.parametrize("use_refine", [False, True])
+@pytest.mark.parametrize("bsz", [1, 8])
+def test_predict_batch_without_gap_matches_two_scale_path(bsz, use_refine, size):
+    cfg = RunConfig()
+    params = _model_with_refiner(2)
+    images = np.stack([s.image[None] for s in generate_dataset(DatasetSpec(count=bsz, size=size, seed=7))]).astype(np.float32)
+    want = _two_scale_predict(params, images, cfg, use_refine)
+    coarse, refined, prompts, gap = predict_batch(params, images, cfg, net_config(cfg), use_refine)
+    assert gap is None
+    assert np.array_equal(coarse, want[0])
+    assert (refined is None) == (not use_refine)
+    if use_refine:
+        assert np.array_equal(refined, want[1]) and not np.array_equal(refined, coarse)
+    assert prompts == want[2] and any(p is not None for p in prompts)
+    # asked for, the gap inputs come with the same predictions
+    with_gap = predict_batch(params, images, cfg, net_config(cfg), use_refine, scale_gap=True)
+    assert np.array_equal(with_gap[0], want[0]) and with_gap[2] == want[2]
+    assert all(np.array_equal(got, w) for got, w in zip(with_gap[3], want[3]))
+
+
+def test_predict_batch_without_gap_skips_scale_two(monkeypatch):
+    cfg = RunConfig()
+    params = _model_with_refiner(3)
+    images = generate_dataset(DatasetSpec(count=1, size=64, seed=8))[0].image[None, None].astype(np.float32)
+
+    def scale_two(*args, **kwargs):
+        raise AssertionError("the second scale ran")
+
+    monkeypatch.setattr(nets, "single_scale_forward", scale_two)
+    predict_batch(params, images, cfg, net_config(cfg), use_refine=True)
+    with pytest.raises(AssertionError, match="second scale"):
+        predict_batch(params, images, cfg, net_config(cfg), use_refine=True, scale_gap=True)
+
+
+@pytest.mark.parametrize("use_refine", [False, True])
+def test_evaluate_matches_two_scale_recomputation(use_refine):
+    cfg = RunConfig(batch_size=4)
+    params = _model_with_refiner(4)
+    samples = generate_dataset(DatasetSpec(count=10, size=64, seed=9))
+    preds, gaps = [], []
+    for lo in range(0, len(samples), cfg.batch_size):
+        chunk = samples[lo : lo + cfg.batch_size]
+        coarse, refined, _, (pa, pb) = _two_scale_predict(params, np.stack([s.image[None] for s in chunk]).astype(np.float32), cfg, use_refine)
+        for b, s in enumerate(chunk):
+            preds.append((refined if use_refine else coarse)[b, 0])
+            gaps.append(float(np.abs(pa[b, 0] - pb[b, 0])[s.weak_box >= 0.5].mean()))
+    want_rows = evaluate_predictions(preds, [s.gt_mask for s in samples], sample_ids=list(range(10, 20)))
+    rows, means, gap = evaluate(cfg, params, samples, use_refine=use_refine, sample_ids=list(range(10, 20)))
+    assert rows == want_rows
+    assert means == mean_metrics(want_rows)
+    assert gap == float(np.mean(gaps))
 
 
 def test_phase_mismatch_rejected(tiny_dataset_dir):

@@ -67,22 +67,30 @@ def _conv2d_oracle(x, w, bias, g, stride, pad, dilation):
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_conv2d_matches_direct_oracle(dtype, tol):
     rng = np.random.default_rng(6)
-    configs = itertools.product((1, 2, 3), (0, 1, 2), (1, 2), ((1, 1), (3, 3), (5, 5), (3, 1)), (1, 4))
-    for stride, pad, dilation, (k1, k2), bsz in configs:
+    # 1 -> c and c -> 1 take the inner-dimension-1 tap product in forward and
+    # in the input gradient
+    channels = ((3, 4), (1, 4), (3, 1))
+    configs = itertools.product((1, 2, 3), (0, 1, 2), (1, 2), ((1, 1), (3, 3), (5, 5), (3, 1)), (1, 4), channels)
+    for stride, pad, dilation, (k1, k2), bsz, (cin, cout) in configs:
         # non-square, and large enough for the widest dilated 5x5 at pad 0
-        x = rng.uniform(-1, 1, (bsz, 3, 11, 10))
-        w = rng.uniform(-1, 1, (4, 3, k1, k2))
-        bias = rng.uniform(-1, 1, 4)
+        x = rng.uniform(-1, 1, (bsz, cin, 11, 10))
+        w = rng.uniform(-1, 1, (cout, cin, k1, k2))
+        bias = rng.uniform(-1, 1, cout)
         tx, tw, tb = (T.Tensor(a, dtype=dtype, requires_grad=True) for a in (x, w, bias))
-        out = T.conv2d(tx, tw, bias=tb, stride=stride, pad=pad, dilation=dilation)
+        # a one-channel bias gradient is a single float32 sum, whose cancellation
+        # an error relative to its own size cannot bound: the c -> 1 pair runs
+        # without a bias, which covers that path too
+        with_bias = cout > 1
+        out = T.conv2d(tx, tw, bias=tb if with_bias else None, stride=stride, pad=pad, dilation=dilation)
         g = rng.uniform(-1, 1, out.data.shape)
         T.backward(T.tsum(T.mul(out, T.Tensor(g, dtype=dtype))))
         # the oracle sees the values the kernel saw, rounded to dtype
-        wants = _conv2d_oracle(*(a.astype(dtype).astype(np.float64) for a in (x, w, bias, g)), stride, pad, dilation)
-        for name, got, want in zip(("out", "gx", "gw", "gbias"), (out.data, tx.grad, tw.grad, tb.grad), wants):
-            assert got.dtype == dtype and got.shape == want.shape, (name, stride, pad, dilation, k1, k2, bsz)
+        wants = _conv2d_oracle(*(a.astype(dtype).astype(np.float64) for a in (x, w, bias * with_bias, g)), stride, pad, dilation)
+        checked = list(zip(("out", "gx", "gw", "gbias"), (out.data, tx.grad, tw.grad, tb.grad), wants))
+        for name, got, want in checked if with_bias else checked[:3]:
+            assert got.dtype == dtype and got.shape == want.shape, (name, stride, pad, dilation, k1, k2, bsz, cin, cout)
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-            assert err <= tol, (name, stride, pad, dilation, k1, k2, bsz, err)
+            assert err <= tol, (name, stride, pad, dilation, k1, k2, bsz, cin, cout, err)
 
 
 def test_maxpool_single_window():
@@ -501,6 +509,31 @@ def test_batchnorm2d_matches_reference_kernel(training, bsz):
             _assert_same(got, want)
         _assert_same(rm, want_rm)
         _assert_same(rv, want_rv)
+
+
+# (m, n) of the model's inner-dimension-1 tap products: forward of the cin == 1
+# convs (encoder.conv1 and cnn.stage1.conv, cnn.stage1.skip) at scales 64 and
+# 48, and the input gradient of the cout == 1 convs (head.out at both scales,
+# refine.out at 64)
+K1_TAPS = ((8, 1056), (8, 600), (8, 1024), (8, 576), (16, 256), (16, 144), (8, 4096))
+
+
+@pytest.mark.parametrize("bsz", [1, 8])
+def test_tap_product_matches_matmul_at_inner_dimension_one(bsz):
+    rng = np.random.default_rng(15)
+    for m, n in K1_TAPS:
+        taps = [(_special_draw(rng, (m, 1)), _special_draw(rng, (bsz, 1, n))) for _ in range(9)]
+        got = np.zeros((bsz, m, n), dtype=np.float32)
+        want = np.zeros_like(got)
+        with np.errstate(invalid="ignore"):
+            for a, b in taps:
+                prod = T._tap_product(a, b)
+                # the bare product may keep a -0.0 that matmul turns into 0.0
+                _assert_same(prod, a @ b, signed_zero=False)
+                got += prod
+                want += a @ b
+        # summed into a zero-started accumulator, as conv2d does, they agree bit for bit
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.skipif(not T.HEAP_PINNED, reason="mallopt is unavailable")
