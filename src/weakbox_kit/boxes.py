@@ -4,13 +4,13 @@ A (soft) mask is projected onto its two axes; depending on whether the
 foreground centroid itself lies on foreground, the box supervision mask is
 either the element-wise min of the back-projected profiles (single compact
 object) or the cross-band union minus a centered gap rectangle (multiple
-separated objects). All projection/back-projection steps are differentiable
-when given a Tensor; the gap rectangle is a constant geometric construction.
+separated objects). The gap rectangle is a constant geometric construction.
 
 `project` and the back-projections act on the last two axes, so they take a
-single (H, W) mask or an (N, H, W) stack. `mask_to_box` transforms one mask;
-`batch_mask_to_box` transforms a whole stack in one pass, deciding each
-sample's branch in numpy first.
+single (H, W) mask or an (N, H, W) stack, and are differentiable when given
+a Tensor. `batch_mask_to_box` is the one Tensor box transform: it transforms
+a whole stack in one pass, deciding each sample's branch in numpy first.
+`mask_to_box` transforms one numpy mask.
 """
 
 import enum
@@ -77,9 +77,7 @@ def _outer(proj: Projection, combine_t, combine_np):
     """Combine every row profile entry with every column profile entry; the
     combining op broadcasts (..., 1, W) against (..., H, 1)."""
     pw, ph = proj
-    if isinstance(pw, T.Tensor) or isinstance(ph, T.Tensor):
-        pw = T.as_tensor(pw)
-        ph = T.as_tensor(ph)
+    if isinstance(pw, T.Tensor):
         cols = T.reshape(pw, pw.data.shape[:-1] + (1, pw.data.shape[-1]))
         rows = T.reshape(ph, ph.data.shape + (1,))
         return combine_t(cols, rows)
@@ -155,23 +153,17 @@ def decide_branch(mask: MaskLike, threshold: float = 0.5):
     return status, min_gap_box(mask, status.centroid, threshold)
 
 
-def mask_to_box(mask: MaskLike, threshold: float = 0.5):
-    """Turn a (soft) mask into its box supervision mask.
+def mask_to_box(mask: np.ndarray, threshold: float = 0.5):
+    """Turn a (soft) numpy mask into its box supervision mask.
 
     Foreground-centered masks take the min-backprojection path; background-
     centered ones (multiple separated objects) take the cross-band union minus
     the centered gap rectangle, clamped to [0, 1]. Returns (box, CenterStatus).
     """
+    mask = np.asarray(mask)
     status, gap = decide_branch(mask, threshold)
     proj = project(mask)
-    if gap is None:
-        box = backproject_min(proj)
-    else:
-        band = backproject_max(proj)
-        if isinstance(band, T.Tensor):
-            box = T.clamp(T.sub(band, T.Tensor(gap, dtype=band.data.dtype)), 0.0, 1.0)
-        else:
-            box = np.clip(band - gap, 0.0, 1.0)
+    box = backproject_min(proj) if gap is None else np.clip(backproject_max(proj) - gap, 0.0, 1.0)
     return box, status
 
 

@@ -46,7 +46,11 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def name(self):
-        return self.take(self.u16()).decode("utf-8")
+        raw = self.take(self.u16())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"name at offset {self.pos - len(raw)} is not UTF-8") from None
 
     def array(self):
         ndim = self.u8()
@@ -100,8 +104,7 @@ def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_s
         blob += struct.pack("<B", kind)
         blob += _pack_array(arr)
 
-    kind_raw = optimizer_kind.encode("utf-8")
-    blob += struct.pack("<H", len(kind_raw)) + kind_raw
+    blob += _pack_name(optimizer_kind)
     blob += struct.pack("<Q", int(optimizer_state.get("step", 0)))
     slots = []
     for which, table in ((0, optimizer_state.get("m", {})), (1, optimizer_state.get("v", {}))):
@@ -158,9 +161,16 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at path; a garbled file raises CheckpointError naming it."""
     with open(path, "rb") as f:
         blob = f.read()
-    r = _Reader(blob)
+    try:
+        return _parse(_Reader(blob))
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
+
+
+def _parse(r: _Reader) -> Checkpoint:
     magic = r.take(4)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -181,13 +191,14 @@ def load_checkpoint(path) -> Checkpoint:
             kinds[name] = kind
         else:
             raise CheckpointError(f"unknown tensor kind {kind} for {name!r}")
-    optimizer_kind = r.take(r.u16()).decode("utf-8")
+    optimizer_kind = r.name()
     step = r.u64()
     state = {"step": step, "m": {}, "v": {}}
     for _ in range(r.u32()):
         name = r.name()
         which = r.u8()
-        arr = r.array()
-        state["m" if which == 0 else "v"][name] = arr
+        if which not in (0, 1):
+            raise CheckpointError(f"unknown optimizer slot {which} for {name!r}")
+        state["mv"[which]][name] = r.array()
     r.done()
     return Checkpoint(epoch, seed, tensors, kinds, stats, optimizer_kind, state)

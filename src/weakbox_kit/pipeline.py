@@ -2,10 +2,11 @@
 
 Phase one trains the residual refiner on a small labeled split against
 degraded copies of real masks. Phase two is box-supervised: per step the
-model predicts, its prediction is converted to a box prompt, and the
-prompted two-scale predictions are optimized against the weak box label
-(mask-to-box loss plus in-box scale consistency). Real mask pixels never
-reach the weak loss path; only their bounding boxes do.
+model predicts, its prediction is turned into a box prompt by the centroid
+rule (`prompt_from_probability`, no box transform), and the prompted
+two-scale predictions are optimized against the weak box label (mask-to-box
+loss from `batch_mask_to_box` plus in-box scale consistency). Real mask
+pixels never reach the weak loss path; only their bounding boxes do.
 
 All randomness is keyed by (seed, stream, epoch, index), so runs are
 reproducible and checkpoint resume is bit-identical to a straight run.
@@ -19,7 +20,8 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from . import tensor as T
-from .boxes import EmptyMaskError, batch_mask_to_box, box_coords, gt_box_mask, mask_to_box
+from .boxes import BoxCoords, Center, EmptyMaskError, batch_mask_to_box, box_coords, center_status, gt_box_mask
+from .boxes import mask_to_box  # noqa: F401  perfbench/tracing.py patches this name here
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import LossConfig, Phase, branch_loss, detail_refine_loss, mm2b_loss, sc_loss, total_loss
@@ -74,12 +76,18 @@ def augment_pair(image, mask, rng):
 
 
 def prompt_from_probability(prob_plane_np, threshold=0.5):
-    """Box prompt coordinates from a prediction's mask-to-box output."""
+    """Box prompt coordinates of a prediction plane, None when it is empty."""
     try:
-        box, _ = mask_to_box(prob_plane_np, threshold)
-        return box_coords(box, threshold)
+        status = center_status(prob_plane_np, threshold)
     except EmptyMaskError:
         return None
+    if status.status is Center.FOREGROUND:
+        return box_coords(prob_plane_np, threshold)
+    # The centroid rule: these are box_coords(mask_to_box(p)) without the transform. On the background branch every
+    # occupied row band spans all columns and every occupied column band all rows; the gap rectangle is empty unless
+    # both axes have two or more runs, and then it is narrower than the outermost runs' spread on each axis, so it
+    # never clears a border row or column and the box is the full grid.
+    return BoxCoords(0, 0, prob_plane_np.shape[0] - 1, prob_plane_np.shape[1] - 1)
 
 
 def weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):

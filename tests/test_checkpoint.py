@@ -1,7 +1,10 @@
 import builtins
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakbox_kit.checkpoint as checkpoint_module
 
@@ -76,6 +79,76 @@ def test_truncation_rejected(tmp_path):
     path.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def trained_blob(tmp_path):
+    """The bytes of small_store's checkpoint after one AdamW step, so both
+    optimizer slot tables are filled."""
+    store = small_store()
+    opt = AdamW(store, lr=1e-3)
+    for _, t in store.trainable():
+        t.grad = np.ones_like(t.data)
+    opt.step()
+    path = tmp_path / "trained.ckpt"
+    save_checkpoint(path, store, "adamw", opt.state_dict(), seed=3, epoch=1)
+    return path.read_bytes()
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    blob = bytearray(trained_blob(tmp_path))
+    for name in (b"enc.w", b"adamw"):
+        bad = bytearray(blob)
+        bad[blob.index(name)] = 0xFF
+        path = tmp_path / "u.ckpt"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*not UTF-8"):
+            load_checkpoint(path)
+
+
+def test_unknown_optimizer_slot_rejected(tmp_path):
+    blob = bytearray(trained_blob(tmp_path))
+    # slots are written m then v, each by name, so the last one is v["a.w"];
+    # its tag byte follows the name
+    tag = blob.rindex(b"a.w") + 3
+    assert blob[tag] == 1
+    blob[tag] = 2
+    path = tmp_path / "s.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="unknown optimizer slot 2 for 'a.w'"):
+        load_checkpoint(path)
+
+
+@st.composite
+def garbles(draw):
+    """A truncation length (or none) and up to four (offset, xor) byte flips,
+    offsets as fractions of the file."""
+    cut = draw(st.none() | st.floats(0.0, 1.0))
+    flips = draw(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)), max_size=4))
+    return cut, flips
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "clean.ckpt").write_bytes(trained_blob(root))
+    return root
+
+
+@given(garbles())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_garbled_checkpoint_loads_or_raises_checkpoint_error(fuzz_dir, garble):
+    cut, flips = garble
+    blob = bytearray((fuzz_dir / "clean.ckpt").read_bytes())
+    for where, xor in flips:
+        blob[int(where * len(blob))] ^= xor
+    if cut is not None:
+        blob = blob[: int(cut * len(blob))]
+    path = fuzz_dir / "garbled.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
 
 
 def test_trailing_data_rejected(tmp_path):

@@ -182,6 +182,22 @@ def test_eval_missing_checkpoint(workspace, tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("garble", ["truncated", "non-utf8-name"])
+def test_eval_garbled_checkpoint_is_data_error(workspace, tmp_path, capsys, garble):
+    _, _, run_cfg = workspace
+    ckpt = tmp_path / "garbled.ckpt"
+    save_checkpoint(str(ckpt), init_params(0, NetConfig(), include_refine=False))
+    blob = bytearray(ckpt.read_bytes())
+    if garble == "truncated":
+        blob = blob[: len(blob) // 2]
+    else:
+        blob[26] = 0xFF  # the first tensor name, after the 24-byte header and its 2-byte length
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--config", run_cfg, "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == EXIT_DATA
+    assert f"checkpoint {ckpt}: " in capsys.readouterr().err
+
+
 def test_eval_dataset_size_other_than_scale1_is_data_error(tmp_path):
     spec = DatasetSpec(count=4, size=48, seed=7)
     data_dir = str(tmp_path / "data48")

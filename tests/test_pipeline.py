@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 
 from weakbox_kit import tensor as T
-from weakbox_kit.boxes import BoxCoords, Center, EmptyMaskError, backproject_min, decide_branches, mask_to_box, project
+from weakbox_kit.boxes import (
+    BoxCoords,
+    Center,
+    EmptyMaskError,
+    backproject_max,
+    backproject_min,
+    box_coords,
+    center_status,
+    decide_branch,
+    decide_branches,
+    mask_to_box,
+    project,
+)
 from weakbox_kit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from weakbox_kit.config import RunConfig
 from weakbox_kit.losses import Phase, branch_loss, sc_loss, total_loss
@@ -347,6 +359,72 @@ def test_predict_batch_rescales_prompt_to_native_grid():
     assert p == scale_coords(box_64, 64, 48)
 
 
+def reference_prompt(plane):
+    """The prompt before the centroid rule: the coords of the plane's
+    mask-to-box output, None when the plane has no pixel at the threshold."""
+    try:
+        return box_coords(mask_to_box(plane)[0])
+    except EmptyMaskError:
+        return None
+
+
+def random_prediction(rng):
+    """A soft (size, size) plane, size 8-64: up to four soft rectangles, or
+    speckle where a pixel reaches 0.5 with probability 1 - 0.5 ** (1 / q)."""
+    size = int(rng.integers(8, 65))
+    kind = rng.integers(3)
+    if kind == 0:
+        m = np.zeros((size, size), dtype=bool)
+        for _ in range(int(rng.integers(0, 5))):
+            r, c = rng.integers(0, size, 2)
+            m[r : r + int(rng.integers(1, size // 2 + 1)), c : c + int(rng.integers(1, size // 2 + 1))] = True
+        p = np.where(m, rng.uniform(0.5, 1.0, m.shape), rng.uniform(0.0, 0.5, m.shape))
+    else:
+        p = rng.uniform(0.0, 1.0, (size, size)) ** rng.uniform(1.0, 400.0 if kind == 1 else 8.0)
+    return p.astype(np.float32)
+
+
+def test_prompt_rule_matches_mask_to_box_coords():
+    rng = np.random.default_rng(2026)
+    n, background, empty = 2000, 0, 0
+    for _ in range(n):
+        plane = random_prediction(rng)
+        try:
+            background += center_status(plane).status is Center.BACKGROUND
+        except EmptyMaskError:
+            empty += 1
+        assert prompt_from_probability(plane) == reference_prompt(plane)
+    # the match means something only if the full-grid and empty branches are hit often
+    assert background >= 0.3 * n and empty > 0
+
+
+def _annulus():
+    rr, cc = np.mgrid[:32, :32]
+    d = np.hypot(rr - 15.5, cc - 15.5)
+    return np.where((d > 6) & (d < 12), 0.9, 0.1).astype(np.float32)
+
+
+def _corner_blobs():
+    p = np.full((24, 24), 0.2, dtype=np.float32)
+    p[1:5, 2:6] = 0.8
+    p[17:22, 16:21] = 0.7
+    return p
+
+
+@pytest.mark.parametrize(
+    "make, want",
+    [
+        (_annulus, BoxCoords(0, 0, 31, 31)),
+        (_corner_blobs, BoxCoords(0, 0, 23, 23)),
+        (lambda: np.full((16, 16), 0.3, dtype=np.float32), None),
+    ],
+    ids=["annulus", "two-corner-blobs", "all-low"],
+)
+def test_prompt_rule_named_planes(make, want):
+    plane = make()
+    assert prompt_from_probability(plane) == reference_prompt(plane) == want
+
+
 def test_predict_batch_rejects_non_square_image():
     cfg = RunConfig()
     ncfg = net_config(cfg)
@@ -518,14 +596,26 @@ def test_cli_maps_numeric_failure_to_exit_3(tiny_dataset_dir, tmp_path, monkeypa
     assert cli.main(["train-weak", "--config", str(cfg_path)]) == 3
 
 
+def tensor_mask_to_box(plane):
+    """The single-plane Tensor mask-to-box transform that `batch_mask_to_box`
+    replaced: one branch per (H, W) plane, differentiable through the
+    projections. Returns (box, CenterStatus)."""
+    status, gap = decide_branch(plane)
+    proj = project(plane)
+    if gap is None:
+        return backproject_min(proj), status
+    band = backproject_max(proj)
+    return T.clamp(T.sub(band, T.Tensor(gap, dtype=band.data.dtype)), 0.0, 1.0), status
+
+
 def oracle_weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
     """The per-sample weak loss that the batched `weak_loss` replaced:
-    mask_to_box on each plane, with a foreground-path fallback for a plane
-    that has no pixel at the threshold."""
+    tensor_mask_to_box on each plane, with a foreground-path fallback for a
+    plane that has no pixel at the threshold."""
 
     def mm2b(plane, weak):
         try:
-            box, status = mask_to_box(plane)
+            box, status = tensor_mask_to_box(plane)
             foreground = status.status is Center.FOREGROUND
         except EmptyMaskError:
             box, foreground = backproject_min(project(plane)), True
