@@ -161,9 +161,15 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at path; a garbled file raises CheckpointError naming it."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    """The checkpoint at path; a garbled or unreadable file (a directory, say)
+    raises CheckpointError naming it, a missing one FileNotFoundError."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint {path}: cannot read: {exc.strerror or exc}") from None
     try:
         return _parse(_Reader(blob))
     except CheckpointError as exc:

@@ -73,6 +73,10 @@ def hd95(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> float:
     b = gt >= threshold
     if not (a.any() and b.any()):
         raise EmptyMaskError("undefined HD95: one of the masks is empty after thresholding")
+    # every point and its nearest neighbour lie in the joint bounding box, so
+    # the transforms over it read the same distances, in the same order
+    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(a | b))
+    a, b = a[box], b[box]
     d_ab = np.percentile(distance_transform_edt(~b)[a], 95, method="linear")
     d_ba = np.percentile(distance_transform_edt(~a)[b], 95, method="linear")
     return float(max(d_ab, d_ba))

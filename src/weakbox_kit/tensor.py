@@ -10,6 +10,7 @@ picks the first winner in row-major scan order.
 
 import contextlib
 import ctypes
+import functools
 import itertools
 
 import numpy as np
@@ -419,17 +420,47 @@ def _phase_cut(n, p, s, a, size):
 
 
 def _tap_product(a, b):
-    """a @ b for a (m, k) matrix and a (B, k, n) stack; at k == 1 the broadcast
+    """a @ b for a (m, k) matrix and a (B, k, n) stack, as conv2d's per-tap
+    paths take it; at k == 1 (a 1x1 conv from or to one channel) the broadcast
     product a * b, which numpy runs about 20x faster. a * b keeps a product's
     -0.0 where matmul gives 0.0; added into conv2d's zero-started
     accumulators, the two agree bit for bit."""
     return a * b if a.shape[1] == 1 else a @ b
 
 
+@functools.lru_cache(maxsize=256)
+def _conv_geometry(h, wd, k1, k2, s, p, d):
+    """conv2d's shape-only set-up, or None when the output would be empty:
+    (oh, ow, wrap, hp, wp, n, phases, cuts, xf_is_x, taps, phase_taps), where
+    taps lists (u, v, phase, flat offset) in row-major order and phase_taps
+    the tap indices that read each phase."""
+    oh = (h + 2 * p - d * (k1 - 1) - 1) // s + 1
+    ow = (wd + 2 * p - d * (k2 - 1) - 1) // s + 1
+    if oh < 1 or ow < 1:
+        return None
+    # wp - ow wrap columns are dropped; when there are any, the spare phase row keeps
+    # every tap slice in bounds
+    wrap = d * (k2 - 1) // s
+    hp, wp = oh + d * (k1 - 1) // s + (wrap > 0), ow + wrap
+    phases = tuple(sorted({(u * d % s, v * d % s) for u in range(k1) for v in range(k2)}))
+    cuts = tuple((_phase_cut(h, p, s, a, hp), _phase_cut(wd, p, s, b, wp)) for a, b in phases)
+    # at stride 1 and pad 0 the one phase image may be the input itself
+    xf_is_x = s == 1 and p == 0 and (hp, wp) == (h, wd)
+    taps = tuple((u, v, phases.index((u * d % s, v * d % s)), (u * d // s) * wp + v * d // s) for u in range(k1) for v in range(k2))
+    phase_taps = tuple(tuple(t for t, tap in enumerate(taps) if tap[2] == i) for i in range(len(phases)))
+    return oh, ow, wrap, hp, wp, oh * wp, phases, cuts, xf_is_x, taps, phase_taps
+
+
 def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
     """2-d cross-correlation, kernel spatial dims odd. Polyphase flat-row GEMM: the padded
-    input splits into s x s phase images, each flattened to hp*wp; tap (u, v) is one matrix product over
-    phase ((u*d) % s, (v*d) % s) at flat offset (u*d // s)*wp + (v*d) // s, into (B, Cout, oh*wp)."""
+    input splits into s x s phase images, each flattened to hp*wp; tap (u, v) reads phase
+    ((u*d) % s, (v*d) % s) at flat offset (u*d // s)*wp + (v*d) // s, into (B, Cout, oh*wp).
+
+    A multi-tap kernel gathers its taps on the side with fewer channels and makes one
+    product: the forward stacks the tap slices into (B, taps*Cin, n) when Cin <= Cout
+    (im2col), the input gradient stacks the shifted output gradient into
+    (B, taps*Cout, hp*wp) per phase when Cout <= Cin. Otherwise, and for 1x1 kernels,
+    each tap is its own product, summed."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input and OIHW kernel, got {x.data.shape} and {w.data.shape}")
     bsz, cin, h, wd = x.data.shape
@@ -439,20 +470,11 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
     if k1 % 2 == 0 or k2 % 2 == 0:
         raise ShapeError(f"conv2d kernel spatial dims must be odd, got {w.data.shape}")
     s, p, d = int(stride), int(pad), int(dilation)
-    oh = (h + 2 * p - d * (k1 - 1) - 1) // s + 1
-    ow = (wd + 2 * p - d * (k2 - 1) - 1) // s + 1
-    if oh < 1 or ow < 1:
+    geometry = _conv_geometry(h, wd, k1, k2, s, p, d)
+    if geometry is None:
         raise ShapeError(f"conv2d output would be empty: input {x.data.shape}, kernel {w.data.shape}, stride {s}, pad {p}, dilation {d}")
-
-    # wp - ow wrap columns are dropped; when there are any, the spare phase row keeps
-    # every tap slice in bounds
-    wrap = d * (k2 - 1) // s
-    hp, wp = oh + d * (k1 - 1) // s + (wrap > 0), ow + wrap
-    n = oh * wp
-    phases = sorted({(u * d % s, v * d % s) for u in range(k1) for v in range(k2)})
-    cuts = [(_phase_cut(h, p, s, a, hp), _phase_cut(wd, p, s, b, wp)) for a, b in phases]
-    # at stride 1 and pad 0 the one phase image may be the input itself
-    xf_is_x = s == 1 and p == 0 and (hp, wp) == (h, wd)
+    oh, ow, wrap, hp, wp, n, phases, cuts, xf_is_x, taps, phase_taps = geometry
+    ntap = len(taps)
     if xf_is_x:
         xf = x.data.reshape(bsz, 1, cin, h * wd)
     else:
@@ -460,10 +482,15 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
         for i, ((ri, rq), (ci, cq)) in enumerate(cuts):
             xf[:, i, :, rq, cq] = x.data[:, :, ri, ci]
         xf = xf.reshape(bsz, len(phases), cin, hp * wp)
-    taps = [(u, v, phases.index((u * d % s, v * d % s)), (u * d // s) * wp + v * d // s) for u in range(k1) for v in range(k2)]
-    acc = np.zeros((bsz, cout, n), dtype=x.data.dtype)
-    for u, v, i, off in taps:
-        acc += _tap_product(w.data[:, :, u, v], xf[:, i, :, off : off + n])
+    if ntap > 1 and cin <= cout:
+        cols = np.empty((bsz, ntap, cin, n), dtype=x.data.dtype)
+        for t, (u, v, i, off) in enumerate(taps):
+            cols[:, t] = xf[:, i, :, off : off + n]
+        acc = w.data.transpose(0, 2, 3, 1).reshape(cout, ntap * cin) @ cols.reshape(bsz, ntap * cin, n)
+    else:
+        acc = np.zeros((bsz, cout, n), dtype=x.data.dtype)
+        for u, v, i, off in taps:
+            acc += _tap_product(w.data[:, :, u, v], xf[:, i, :, off : off + n])
     out = np.ascontiguousarray(acc.reshape(bsz, cout, oh, wp)[..., :ow])
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
@@ -478,22 +505,37 @@ def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
         else:
             gf = g.reshape(bsz, cout, n)
         gw = np.empty_like(w.data)
-        gxf = np.zeros_like(xf) if x.requires_grad else None
         for u, v, i, off in taps:
-            xs = xf[:, i, :, off : off + n]
-            gw[:, :, u, v] = (gf @ xs.transpose(0, 2, 1)).sum(axis=0)
-            if gxf is not None:
+            gw[:, :, u, v] = (gf @ xf[:, i, :, off : off + n].transpose(0, 2, 1)).sum(axis=0)
+        gbias = None if bias is None else g.sum(axis=(0, 2, 3))
+        if not x.requires_grad:
+            return None, gw, gbias
+        # gxf[i]: the gradient of phase image i, (B, Cin, hp*wp)
+        if ntap > 1 and cout <= cin:
+            # tap t adds w_t^T gf shifted by its offset: each phase stacks its
+            # taps' windows of gf zero-padded in front by the largest offset
+            top = taps[-1][3]
+            gpad = np.zeros((bsz, cout, top + hp * wp), dtype=g.dtype)
+            gpad[:, :, top : top + n] = gf
+            wt = w.data.transpose(1, 2, 3, 0).reshape(cin, ntap, cout)
+            gxf = []
+            for ts in phase_taps:
+                shifted = np.empty((bsz, len(ts), cout, hp * wp), dtype=g.dtype)
+                for j, t in enumerate(ts):
+                    shifted[:, j] = gpad[:, :, top - taps[t][3] : top - taps[t][3] + hp * wp]
+                gxf.append(wt[:, list(ts)].reshape(cin, len(ts) * cout) @ shifted.reshape(bsz, len(ts) * cout, hp * wp))
+        else:
+            gxf = np.zeros_like(xf)
+            for u, v, i, off in taps:
                 gxf[:, i, :, off : off + n] += _tap_product(w.data[:, :, u, v].T, gf)
-        gx = None
-        if xf_is_x and gxf is not None:
-            gx = gxf.reshape(x.data.shape)
-        elif gxf is not None:
+            gxf = [gxf[:, i] for i in range(len(phases))]
+        if xf_is_x:
+            gx = gxf[0].reshape(x.data.shape)
+        else:
             gx = np.zeros_like(x.data)
-            for i, ((ri, rq), (ci, cq)) in enumerate(cuts):
-                gx[:, :, ri, ci] = gxf.reshape(bsz, len(phases), cin, hp, wp)[:, i, :, rq, cq]
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+            for gp, ((ri, rq), (ci, cq)) in zip(gxf, cuts):
+                gx[:, :, ri, ci] = gp.reshape(bsz, cin, hp, wp)[:, :, rq, cq]
+        return gx, gw, gbias
 
     return _wrap(out, inputs, grad_fn)
 
@@ -528,13 +570,16 @@ def maxpool2d(x):
     return _wrap(out, (x,), grad_fn)
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(n_in, n_out, dtype):
-    """(n_out, n_in) align-corners weights: output i samples input position
-    i * (n_in - 1) / (n_out - 1), so the endpoints map exactly; a single
-    output takes input 0. Equal sizes give the exact identity."""
+    """(n_out, n_in) align-corners weights, read-only: output i samples input
+    position i * (n_in - 1) / (n_out - 1), so the endpoints map exactly; a
+    single output takes input 0. Equal sizes give the exact identity."""
     step = (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
     src = np.arange(n_out)[:, None] * step
-    return np.maximum(0.0, 1.0 - np.abs(src - np.arange(n_in)[None, :])).astype(dtype)
+    m = np.maximum(0.0, 1.0 - np.abs(src - np.arange(n_in)[None, :])).astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
 def bilinear_resize(x, out_h, out_w):

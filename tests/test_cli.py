@@ -198,6 +198,27 @@ def test_eval_garbled_checkpoint_is_data_error(workspace, tmp_path, capsys, garb
     assert f"checkpoint {ckpt}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["infer", "eval", "refine_checkpoint"])
+def test_directory_as_checkpoint_is_data_error(workspace, tmp_path, capsys, command):
+    root, data_dir, run_cfg = workspace
+    folder = tmp_path / "a_directory.ckpt"
+    folder.mkdir()
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    image = os.path.join(data_dir, "images", "0000.pgm")
+    infer = ["infer", "--images", image, "--out", str(tmp_path / "infer")]
+    if command == "infer":
+        argv = [*infer, "--config", run_cfg, "--checkpoint", str(folder)]
+    elif command == "eval":
+        argv = ["eval", "--config", run_cfg, "--checkpoint", str(folder), "--out", str(tmp_path / "e")]
+    else:
+        cfg = write_file(tmp_path / "dir_refiner.cfg", f"dataset_dir = {data_dir}\nrefine_checkpoint = {folder}\n")
+        argv = [*infer, "--config", cfg, "--checkpoint", ckpt]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert f"checkpoint {folder}: " in capsys.readouterr().err
+
+
 def test_eval_dataset_size_other_than_scale1_is_data_error(tmp_path):
     spec = DatasetSpec(count=4, size=48, seed=7)
     data_dir = str(tmp_path / "data48")

@@ -163,6 +163,22 @@ def test_hd95_equals_all_pairs_oracle_exactly():
     far = np.zeros_like(outer)
     far[13:16, 0:2] = 1.0
     pairs += [(single, single), (single, np.roll(single, 3, axis=1)), (outer, inner), (inner, far), (outer, far)]
+    # masks on the border and in the corners, and far-apart blobs in a large
+    # grid, where hd95 crops the most
+    corner = np.zeros((40, 40), dtype=np.float32)
+    corner[0, 0] = 1.0
+    opposite = np.zeros_like(corner)
+    opposite[37:, 36:] = 1.0
+    top = np.zeros_like(corner)
+    top[0, :] = 1.0
+    right = np.zeros_like(corner)
+    right[5:30, -1] = 1.0
+    blobs = np.zeros((64, 64), dtype=np.float32)
+    blobs[5:8, 50:54] = 1.0
+    blobs[58:62, 3:6] = 1.0
+    blob = np.zeros_like(blobs)
+    blob[30:33, 20:31] = 1.0
+    pairs += [(corner, opposite), (corner, top), (top, right), (opposite, right), (blobs, blob), (blob, blobs), (blobs, np.roll(blobs, 2, axis=0))]
     for pred, gt in pairs:
         if pred.any() and gt.any():
             assert hd95(pred, gt) == hd95_oracle(pred, gt)

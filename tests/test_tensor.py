@@ -67,9 +67,12 @@ def _conv2d_oracle(x, w, bias, g, stride, pad, dilation):
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_conv2d_matches_direct_oracle(dtype, tol):
     rng = np.random.default_rng(6)
-    # 1 -> c and c -> 1 take the inner-dimension-1 tap product in forward and
-    # in the input gradient
-    channels = ((3, 4), (1, 4), (3, 1))
+    # a multi-tap kernel stacks its taps in the forward when cin <= cout and in
+    # the input gradient when cout <= cin: (3, 4) and (1, 4) stack the forward,
+    # (4, 3) and (3, 1) the input gradient, the tie (4, 4) both; 1x1 kernels
+    # take the per-tap product, at an inner dimension of 1 in the forward of
+    # 1 -> 4 and in the input gradient of 3 -> 1
+    channels = ((3, 4), (1, 4), (3, 1), (4, 3), (4, 4))
     configs = itertools.product((1, 2, 3), (0, 1, 2), (1, 2), ((1, 1), (3, 3), (5, 5), (3, 1)), (1, 4), channels)
     for stride, pad, dilation, (k1, k2), bsz, (cin, cout) in configs:
         # non-square, and large enough for the widest dilated 5x5 at pad 0
@@ -91,6 +94,32 @@ def test_conv2d_matches_direct_oracle(dtype, tol):
             assert got.dtype == dtype and got.shape == want.shape, (name, stride, pad, dilation, k1, k2, bsz, cin, cout)
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= tol, (name, stride, pad, dilation, k1, k2, bsz, cin, cout, err)
+
+
+def test_conv2d_interleaved_geometries_match_oracle():
+    # conv2d's set-up is cached per shape: alternate shapes that share some of
+    # the key (same H with another W, the same shape with another stride or
+    # dilation) and come back to earlier ones
+    rng = np.random.default_rng(16)
+    geometries = [
+        ((2, 3, 11, 10), (4, 3, 3, 3), 1, 1, 1),
+        ((2, 3, 11, 12), (4, 3, 3, 3), 1, 1, 1),
+        ((2, 3, 11, 10), (4, 3, 3, 3), 2, 1, 1),
+        ((2, 3, 11, 10), (4, 3, 3, 3), 1, 1, 2),
+        ((2, 4, 11, 10), (3, 4, 3, 3), 1, 1, 1),
+        ((2, 3, 11, 10), (4, 3, 3, 3), 1, 0, 1),
+        ((2, 3, 11, 12), (4, 3, 3, 3), 2, 1, 1),
+    ]
+    for x_shape, w_shape, stride, pad, dilation in geometries * 2:
+        x, w, bias = rng.uniform(-1, 1, x_shape), rng.uniform(-1, 1, w_shape), rng.uniform(-1, 1, w_shape[0])
+        tx, tw, tb = (T.Tensor(a, dtype=np.float64, requires_grad=True) for a in (x, w, bias))
+        out = T.conv2d(tx, tw, bias=tb, stride=stride, pad=pad, dilation=dilation)
+        g = rng.uniform(-1, 1, out.data.shape)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g, dtype=np.float64))))
+        wants = _conv2d_oracle(x, w, bias, g, stride, pad, dilation)
+        for got, want in zip((out.data, tx.grad, tw.grad, tb.grad), wants):
+            assert got.shape == want.shape, (x_shape, w_shape, stride, pad, dilation)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (x_shape, w_shape, stride, pad, dilation)
 
 
 def test_maxpool_single_window():
@@ -123,6 +152,15 @@ def test_maxpool_odd_input_pads():
     out = T.maxpool2d(x)
     assert out.data.shape == (1, 1, 2, 2)
     assert out.data[0, 0, 1, 1] == 8.0
+
+
+def test_interp_matrix_is_read_only():
+    # the cached weights are shared by every resize of the same size
+    m = T._interp_matrix(5, 9, np.dtype(np.float32))
+    assert m is T._interp_matrix(5, 9, np.dtype(np.float32))
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
 
 
 def test_bilinear_constant():
@@ -511,11 +549,10 @@ def test_batchnorm2d_matches_reference_kernel(training, bsz):
         _assert_same(rv, want_rv)
 
 
-# (m, n) of the model's inner-dimension-1 tap products: forward of the cin == 1
-# convs (encoder.conv1 and cnn.stage1.conv, cnn.stage1.skip) at scales 64 and
-# 48, and the input gradient of the cout == 1 convs (head.out at both scales,
-# refine.out at 64)
-K1_TAPS = ((8, 1056), (8, 600), (8, 1024), (8, 576), (16, 256), (16, 144), (8, 4096))
+# (m, n) of the model's inner-dimension-1 tap products, all from 1x1 convs:
+# the forward of cnn.stage1.skip (1 -> 8 channels) at scales 64 and 48, and
+# the input gradient of head.out at both scales and of refine.out at 64
+K1_TAPS = ((8, 1024), (8, 576), (16, 256), (16, 144), (8, 4096))
 
 
 @pytest.mark.parametrize("bsz", [1, 8])
