@@ -42,23 +42,27 @@ def _build_parser():
     g.add_argument("--config", required=True, help="dataset spec (key = value)")
     g.add_argument("--out", required=True, help="output dataset directory")
     g.add_argument("--seed", type=int, default=None)
+    g.set_defaults(run=_cmd_synth_gen)
 
     m = sub.add_parser("mm2b", help="mask-to-box transform of one mask file")
     m.add_argument("--in", dest="mask_in", required=True, help="input mask (PGM)")
     m.add_argument("--out", dest="mask_out", required=True, help="output box mask (PGM)")
     m.add_argument("--coords", required=True, help="output coords (JSON)")
+    m.set_defaults(run=_cmd_mm2b)
 
-    for name in ("train-refine", "train-weak"):
-        t = sub.add_parser(name, help=f"{name.replace('-', ' ')} phase")
+    for phase in ("refine", "weak"):
+        t = sub.add_parser(f"train-{phase}", help=f"train {phase} phase")
         t.add_argument("--config", required=True)
         t.add_argument("--seed", type=int, default=None)
         t.add_argument("--out", default=None, help="directory for the output checkpoint")
+        t.set_defaults(run=_cmd_train, phase=phase)
 
     i = sub.add_parser("infer", help="predict masks for image files")
     i.add_argument("--config", required=True)
     i.add_argument("--checkpoint", required=True)
     i.add_argument("--images", nargs="+", required=True)
     i.add_argument("--out", required=True)
+    i.set_defaults(run=_cmd_infer)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--config", required=True)
@@ -67,22 +71,17 @@ def _build_parser():
     e.add_argument("--split", choices=("all", "train", "holdout"), default="all")
     e.add_argument("--refined", action="store_true", help="evaluate the refined output")
     e.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
+    e.set_defaults(run=_cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference check of all primitives and losses")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--instances", type=int, default=20)
+    c.set_defaults(run=_cmd_gradcheck)
     return p
 
 
 def _coords_payload(coords):
-    if coords is None:
-        return None
-    return {
-        "row_min": coords.row_min,
-        "col_min": coords.col_min,
-        "row_max": coords.row_max,
-        "col_max": coords.col_max,
-    }
+    return None if coords is None else dataclasses.asdict(coords)
 
 
 def _write_json(path, obj):
@@ -113,21 +112,16 @@ def _cmd_mm2b(args):
     return EXIT_OK
 
 
-def _load_cfg(args, phase):
-    overrides = {"phase": phase} if phase else {}
+def _cmd_train(args):
+    overrides = {"phase": args.phase}
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = load_run_config(args.config, overrides)
-    if getattr(args, "out", None):
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         if not cfg.checkpoint_out:
-            cfg.checkpoint_out = os.path.join(args.out, f"{phase}.ckpt")
-    return cfg
-
-
-def _cmd_train(args, phase):
-    cfg = _load_cfg(args, phase)
-    result = train_refine(cfg) if phase == "refine" else train_weak(cfg)
+            cfg.checkpoint_out = os.path.join(args.out, f"{args.phase}.ckpt")
+    result = train_refine(cfg) if args.phase == "refine" else train_weak(cfg)
     for epoch, value in enumerate(result.epoch_losses):
         print(f"epoch {epoch:3d}  loss {value:.6f}")
     if result.checkpoint_path:
@@ -194,30 +188,15 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "synth-gen":
-            return _cmd_synth_gen(args)
-        if args.command == "mm2b":
-            return _cmd_mm2b(args)
-        if args.command == "train-refine":
-            return _cmd_train(args, "refine")
-        if args.command == "train-weak":
-            return _cmd_train(args, "weak")
-        if args.command == "infer":
-            return _cmd_infer(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PgmError, CheckpointError, EmptyMaskError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (PgmError, CheckpointError, EmptyMaskError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -58,6 +58,12 @@ class RunConfig:
             raise ValueError(f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}")
         if self.supervision not in _SUPERVISION:
             raise ValueError(f"supervision must be one of {_SUPERVISION}, got {self.supervision!r}")
+        for name in ("beta", "gamma", "lambda1", "lambda2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("smooth_eps", "clamp_eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.feat_channels < 2 or self.feat_channels % 2:
             raise ValueError(f"feat_channels must be even and >= 2, got {self.feat_channels}")
         return self

@@ -21,8 +21,8 @@ import numpy as np
 from . import tensor as T
 from .boxes import batch_mask_to_box
 from .config import RunConfig
-from .losses import LossConfig, Phase, bce_loss, branch_loss, detail_refine_loss, dice_loss, mm2b_loss, sc_loss, total_loss
-from .pipeline import loss_config, weak_loss
+from .losses import bce_loss, branch_loss, detail_refine_loss, dice_loss, mm2b_loss, sc_loss
+from .pipeline import refine_loss, weak_loss
 from .synth import rng_from_key
 
 DEFAULT_STEP = 1e-3
@@ -259,7 +259,7 @@ _MIXED_WEIGHTS = dict(beta=1.5, gamma=0.7)
 
 def _mm2b(rng):
     p, target = _mixed_batch(rng)
-    cfg = LossConfig(**_MIXED_WEIGHTS)
+    cfg = RunConfig(**_MIXED_WEIGHTS)
 
     def op(t):
         box, foreground = batch_mask_to_box(t)
@@ -283,8 +283,7 @@ def _total_weak(rng):
     # the second scale sits 0.03 above the first: off the |a - b| kink, and no
     # pixel crosses the threshold, so both scales take the same branches
     cfg = RunConfig(**_MIXED_WEIGHTS)
-    lcfg = loss_config(cfg)
-    return [p[:, None], p[:, None] + 0.03], lambda a, b: weak_loss(a, b, list(boxes), cfg, lcfg)
+    return [p[:, None], p[:, None] + 0.03], lambda a, b: weak_loss(a, b, list(boxes), cfg)
 
 
 PRIMITIVE_CHECKS = (
@@ -324,7 +323,7 @@ LOSS_CHECKS = (
     ("loss_sc", _sc),
     ("loss_detail_refine", _against_mask(detail_refine_loss)),
     ("loss_total_weak", _total_weak),
-    ("loss_total_refine", _against_mask(lambda p, y: total_loss(Phase.REFINE, refine=detail_refine_loss(p, y)))),
+    ("loss_total_refine", _against_mask(lambda p, y: refine_loss(p, y, RunConfig()))),
 )
 
 ALL_CHECKS = PRIMITIVE_CHECKS + LOSS_CHECKS

@@ -2,42 +2,19 @@
 
 The weak-phase objective combines a branch-dispatched box loss with a
 scale-consistency term; the refine phase uses a Dice/cross-entropy mix
-against real masks. Every loss reduces over the last two (H, W) axes, on
-the tape of its prediction inputs: an (H, W) prediction gives a scalar
-Tensor and an (N, H, W) stack gives one value per sample, shape (N,).
+against real masks. The weights and epsilons are read from a RunConfig.
+Every loss reduces over the last two (H, W) axes, on the tape of its
+prediction inputs: an (H, W) prediction gives a scalar Tensor and an
+(N, H, W) stack gives one value per sample, shape (N,).
 """
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .boxes import EmptyMaskError
+from .config import RunConfig
 
 _HW = (-2, -1)  # the per-sample (H, W) axes every loss reduces over
-
-
-@dataclass
-class LossConfig:
-    beta: float = 1.0  # foreground-branch weight
-    gamma: float = 1.0  # background-branch weight
-    lambda1: float = 0.8  # Dice weight in the refine loss
-    lambda2: float = 0.2  # cross-entropy weight in the refine loss
-    smooth_eps: float = 1.0  # Dice smoothing
-    clamp_eps: float = 1e-7  # BCE log clamping
-
-    def __post_init__(self):
-        for name in ("beta", "gamma", "lambda1", "lambda2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.smooth_eps <= 0 or self.clamp_eps <= 0:
-            raise ValueError("smooth_eps and clamp_eps must be > 0")
-
-
-class Phase(enum.Enum):
-    WEAK = "weak"
-    REFINE = "refine"
 
 
 def _check_shapes(pred, target, op):
@@ -71,15 +48,15 @@ def dice_loss(pred, target, smooth_eps: float = 1.0):
     return T.affine(T.div(num, den), -1.0, 1.0)
 
 
-def branch_loss(pred_box, target_box, cfg: LossConfig | None = None):
+def branch_loss(pred_box, target_box, cfg: RunConfig | None = None):
     """Average of BCE and Dice between a transformed mask and the weak box."""
-    cfg = cfg or LossConfig()
+    cfg = cfg or RunConfig()
     b = bce_loss(pred_box, target_box, cfg.clamp_eps)
     d = dice_loss(pred_box, target_box, cfg.smooth_eps)
     return T.affine(T.add(b, d), 0.5, 0.0)
 
 
-def mm2b_loss(pred_box, target_box, foreground, cfg: LossConfig | None = None):
+def mm2b_loss(pred_box, target_box, foreground, cfg: RunConfig | None = None):
     """Branch-weighted box loss.
 
     `foreground` marks, per sample, the path the box transform took (a bool
@@ -87,7 +64,7 @@ def mm2b_loss(pred_box, target_box, foreground, cfg: LossConfig | None = None):
     returns it): the branch loss is scaled by beta where it is set and by
     gamma where it is not.
     """
-    cfg = cfg or LossConfig()
+    cfg = cfg or RunConfig()
     loss = branch_loss(pred_box, target_box, cfg)
     weight = np.where(foreground, cfg.beta, cfg.gamma)
     return T.mul(loss, T.Tensor(weight, dtype=loss.data.dtype))
@@ -111,23 +88,9 @@ def sc_loss(pred_a, pred_b, box: np.ndarray):
     return T.mul(T.tsum(masked, axis=_HW), T.Tensor(1.0 / total, dtype=pa.data.dtype))
 
 
-def detail_refine_loss(refined_prob, gt_mask, cfg: LossConfig | None = None):
+def detail_refine_loss(refined_prob, gt_mask, cfg: RunConfig | None = None):
     """Weighted Dice + cross-entropy against a real mask."""
-    cfg = cfg or LossConfig()
+    cfg = cfg or RunConfig()
     d = dice_loss(refined_prob, gt_mask, cfg.smooth_eps)
     b = bce_loss(refined_prob, gt_mask, cfg.clamp_eps)
     return T.add(T.affine(d, cfg.lambda1, 0.0), T.affine(b, cfg.lambda2, 0.0))
-
-
-def total_loss(phase: Phase, mm2b=None, sc=None, refine=None):
-    """Phase-gated combination: weak phase sums the box and consistency terms
-    (any refine component is ignored); refine phase passes the refine loss."""
-    if phase is Phase.WEAK:
-        if mm2b is None or sc is None:
-            raise ValueError("weak phase needs both the mm2b and sc components")
-        return T.add(T.as_tensor(mm2b), T.as_tensor(sc))
-    if phase is Phase.REFINE:
-        if refine is None:
-            raise ValueError("refine phase needs the refine component")
-        return T.as_tensor(refine)
-    raise ValueError(f"unknown phase: {phase!r}")

@@ -24,6 +24,7 @@ REFINE_CHANNELS = (8, 16, 32)
 class NetConfig:
     feat_channels: int = 16
     scale_pair: tuple = (64, 48)
+    use_cnn_gate: bool = True
 
 
 class ParamStore:
@@ -221,20 +222,20 @@ def seg_head_forward(params, fused, prompt_coords, training):
     return T.bilinear_resize(logits, fh * 4, fw * 4)
 
 
-def encode(params, image, training, use_cnn_gate):
-    """Frozen encoder features, gated with the CNN block when use_cnn_gate."""
+def encode(params, image, training, cfg: NetConfig):
+    """Frozen encoder features, gated with the CNN block when cfg.use_cnn_gate."""
     x_global = global_encoder_forward(params, image)
-    if not use_cnn_gate:
+    if not cfg.use_cnn_gate:
         return x_global
     return fusion_gate(x_global, cnn_block_forward(params, image, training), params["gate.alpha_logit"])
 
 
-def single_scale_forward(params, image, prompt_coords, training, use_cnn_gate=True):
+def single_scale_forward(params, image, prompt_coords, training, cfg: NetConfig | None = None):
     """Encoder(+CNN gate) features -> prompted head -> logits at input scale.
 
     prompt_coords are in the coordinate frame of `image`.
     """
-    return seg_head_forward(params, encode(params, image, training, use_cnn_gate), prompt_coords, training)
+    return seg_head_forward(params, encode(params, image, training, cfg or NetConfig()), prompt_coords, training)
 
 
 @dataclass
@@ -260,7 +261,7 @@ def scale_coords(coords, src, dst):
     )
 
 
-def scale_one_forward(params, images, prompt_for, training, cfg: NetConfig, use_cnn_gate=True):
+def scale_one_forward(params, images, prompt_for, training, cfg: NetConfig):
     """Self-prompted forward at the first scale of the scale pair; returns
     (logits at scale_pair[0], prompts in the native frame).
 
@@ -273,7 +274,7 @@ def scale_one_forward(params, images, prompt_for, training, cfg: NetConfig, use_
     if native != width:
         raise ValueError(f"images must be square, got {native}x{width} (height x width)")
     s_a = cfg.scale_pair[0]
-    feats = encode(params, T.bilinear_resize(images, s_a, s_a), training, use_cnn_gate)
+    feats = encode(params, T.bilinear_resize(images, s_a, s_a), training, cfg)
     with T.no_grad():
         neutral = T.sigmoid(seg_head_forward(params, feats, None, training)).data
     prompts = [scale_coords(prompt_for(plane[0]), s_a, native) for plane in neutral]
@@ -281,15 +282,15 @@ def scale_one_forward(params, images, prompt_for, training, cfg: NetConfig, use_
     return logits, prompts
 
 
-def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig, use_cnn_gate=True):
+def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig):
     """scale_one_forward, then the second scale prompted with the same boxes,
     for the scale-consistency loss; prob_b_up is the second scale resized to
     the first."""
-    logits_a, prompts = scale_one_forward(params, images, prompt_for, training, cfg, use_cnn_gate)
+    logits_a, prompts = scale_one_forward(params, images, prompt_for, training, cfg)
     native = images.data.shape[2]
     s_a, s_b = cfg.scale_pair
     x_b = T.bilinear_resize(images, s_b, s_b)
-    logits_b = single_scale_forward(params, x_b, [scale_coords(c, native, s_b) for c in prompts], training, use_cnn_gate)
+    logits_b = single_scale_forward(params, x_b, [scale_coords(c, native, s_b) for c in prompts], training, cfg)
     prob_a = T.sigmoid(logits_a)
     prob_b_up = T.sigmoid(T.bilinear_resize(logits_b, s_a, s_a))
     return TwoScaleOut(logits_a=logits_a, logits_b=logits_b, prob_a=prob_a, prob_b_up=prob_b_up, prompts=prompts)

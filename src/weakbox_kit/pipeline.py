@@ -24,7 +24,7 @@ from .boxes import BoxCoords, Center, EmptyMaskError, batch_mask_to_box, box_coo
 from .boxes import mask_to_box  # noqa: F401  perfbench/tracing.py patches this name here
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .losses import LossConfig, Phase, branch_loss, detail_refine_loss, mm2b_loss, sc_loss, total_loss
+from .losses import branch_loss, detail_refine_loss, mm2b_loss, sc_loss
 from .metrics import acc_sen_spe, confusion_counts, dsc_miou, hd95
 from .nets import NetConfig, detail_refine_forward, init_params, scale_one_forward, two_scale_forward
 from .nets import single_scale_forward  # noqa: F401  perfbench/tracing.py patches this name here
@@ -38,18 +38,7 @@ class NumericError(RuntimeError):
 
 
 def net_config(cfg: RunConfig) -> NetConfig:
-    return NetConfig(feat_channels=cfg.feat_channels, scale_pair=(cfg.scale1, cfg.scale2))
-
-
-def loss_config(cfg: RunConfig) -> LossConfig:
-    return LossConfig(
-        beta=cfg.beta,
-        gamma=cfg.gamma,
-        lambda1=cfg.lambda1,
-        lambda2=cfg.lambda2,
-        smooth_eps=cfg.smooth_eps,
-        clamp_eps=cfg.clamp_eps,
-    )
+    return NetConfig(feat_channels=cfg.feat_channels, scale_pair=(cfg.scale1, cfg.scale2), use_cnn_gate=cfg.use_cnn_gate)
 
 
 def split_dataset(samples, holdout_fraction):
@@ -90,7 +79,7 @@ def prompt_from_probability(prob_plane_np, threshold=0.5):
     return BoxCoords(0, 0, prob_plane_np.shape[0] - 1, prob_plane_np.shape[1] - 1)
 
 
-def weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
+def weak_loss(prob_a, prob_b_up, weak_boxes, cfg):
     """Box-supervised loss of one batch of (B, 1, H, W) two-scale predictions
     against the weak boxes (at scale1 frame), averaged over the batch.
 
@@ -106,19 +95,25 @@ def weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
     weak2 = np.concatenate([weak, weak])
     if cfg.supervision == "fullbox":
         # naive baseline: pretend the box mask is the segmentation target
-        l_box = branch_loss(both, weak2, lcfg)
+        l_box = branch_loss(both, weak2, cfg)
     else:
         box, foreground = batch_mask_to_box(both)
-        l_box = mm2b_loss(box, weak2, foreground, lcfg)
+        l_box = mm2b_loss(box, weak2, foreground, cfg)
     l_sc = T.tmean(sc_loss(p_a, p_b, weak)) if cfg.use_sc else T.Tensor(0.0, dtype=np.float32)
-    return total_loss(Phase.WEAK, mm2b=T.tmean(l_box), sc=l_sc)
+    return T.add(T.tmean(l_box), l_sc)
 
 
-def weak_batch_loss(params, images_np, weak_boxes, cfg, ncfg, lcfg, training=True):
-    """Box-supervised loss over one batch; weak_boxes are at scale1 frame."""
+def weak_batch_loss(params, images_np, weak_boxes, cfg):
+    """Box-supervised training-mode loss over one batch; weak_boxes are at scale1 frame."""
     x = T.Tensor(images_np, dtype=np.float32)
-    out = two_scale_forward(params, x, prompt_from_probability, training, ncfg, cfg.use_cnn_gate)
-    return weak_loss(out.prob_a, out.prob_b_up, weak_boxes, cfg, lcfg)
+    out = two_scale_forward(params, x, prompt_from_probability, True, net_config(cfg))
+    return weak_loss(out.prob_a, out.prob_b_up, weak_boxes, cfg)
+
+
+def refine_loss(prob, gt, cfg):
+    """The refine phase's objective: the refine loss of (N, H, W) refined
+    probabilities against real masks, averaged over the batch."""
+    return T.tmean(detail_refine_loss(prob, gt, cfg))
 
 
 def _check_scale1(shape, scale1):
@@ -154,7 +149,8 @@ class TrainResult:
 
 
 def _train_split(cfg, phase):
-    """The training split of the dataset, for a config of the given phase."""
+    """The training split of the dataset, for a valid config of the given phase."""
+    cfg.validate()
     if cfg.phase != phase:
         raise ValueError(f"train_{phase} needs phase = {phase}, config says {cfg.phase!r}")
     _, samples = load_dataset(cfg.dataset_dir)
@@ -199,8 +195,6 @@ def train_weak(cfg: RunConfig) -> TrainResult:
     checkpoint epoch no later than cfg.epochs. Either way the model is
     assembled by _model_params."""
     train_samples = _train_split(cfg, "weak")
-    ncfg = net_config(cfg)
-    lcfg = loss_config(cfg)
 
     ck = load_checkpoint(cfg.checkpoint_in) if cfg.checkpoint_in else None
     if ck is not None:
@@ -208,14 +202,14 @@ def train_weak(cfg: RunConfig) -> TrainResult:
             raise ValueError(f"checkpoint_in is at epoch {ck.epoch}, past epochs = {cfg.epochs}; a resume cannot train fewer epochs than its checkpoint holds")
         if ck.optimizer_kind not in ("none", cfg.optimizer):
             raise ValueError(f"checkpoint optimizer {ck.optimizer_kind!r} != config {cfg.optimizer!r}")
-    params = _model_params(ck.build_params() if ck else init_params(cfg.seed, ncfg, include_refine=False), cfg)
+    params = _model_params(ck.build_params() if ck else init_params(cfg.seed, net_config(cfg), include_refine=False), cfg)
     optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
     if ck is not None:
         optimizer.load_state_dict(ck.optimizer_state)
 
     def batch_loss(indices, epoch):
         images, weaks = _batch_arrays(train_samples, indices, cfg, epoch)
-        return weak_batch_loss(params, images, weaks, cfg, ncfg, lcfg, training=True)
+        return weak_batch_loss(params, images, weaks, cfg)
 
     losses = _fit(cfg, params, optimizer, range(len(train_samples)), "shuffle", batch_loss, ck.epoch if ck else 0)
     return _result(cfg, params, optimizer, losses)
@@ -251,7 +245,6 @@ def train_refine(cfg: RunConfig) -> TrainResult:
         raise ValueError(f"train_refine cannot resume: checkpoint_in is set ({cfg.checkpoint_in}); the refine phase always starts from init")
     train_samples = _train_split(cfg, "refine")
     labeled = refine_subset_indices(len(train_samples), cfg.refine_label_fraction, cfg.seed)
-    lcfg = loss_config(cfg)
     params = init_params(cfg.seed, net_config(cfg), include_refine=True)
     optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
 
@@ -266,8 +259,7 @@ def train_refine(cfg: RunConfig) -> TrainResult:
         c = T.Tensor(np.stack(coarse), dtype=np.float32)
         prob = T.sigmoid(detail_refine_forward(params, c, x, training=True).refined)
         gt = np.stack(gts)
-        per_sample = detail_refine_loss(T.reshape(prob, gt.shape), gt, lcfg)
-        return total_loss(Phase.REFINE, refine=T.tmean(per_sample))
+        return refine_loss(T.reshape(prob, gt.shape), gt, cfg)
 
     losses = _fit(cfg, params, optimizer, labeled, "refine_shuffle", batch_loss)
     params.set_frozen("refine.")
@@ -315,11 +307,11 @@ def predict_batch(params, images_np, cfg, ncfg, use_refine, scale_gap=False):
         x = T.Tensor(images_np, dtype=np.float32)
         gap = None
         if scale_gap:
-            out = two_scale_forward(params, x, prompt_from_probability, False, ncfg, cfg.use_cnn_gate)
+            out = two_scale_forward(params, x, prompt_from_probability, False, ncfg)
             logits_a, prompts = out.logits_a, out.prompts
             gap = (out.prob_a.data.copy(), out.prob_b_up.data.copy())
         else:
-            logits_a, prompts = scale_one_forward(params, x, prompt_from_probability, False, ncfg, cfg.use_cnn_gate)
+            logits_a, prompts = scale_one_forward(params, x, prompt_from_probability, False, ncfg)
         native = images_np.shape[2]
         logits = T.bilinear_resize(logits_a, native, native)
         coarse = T.sigmoid(logits)

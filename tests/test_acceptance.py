@@ -16,7 +16,7 @@ from weakbox_kit import tensor as T
 from weakbox_kit.boxes import backproject_min, project
 from weakbox_kit.config import RunConfig
 from weakbox_kit.gradcheck import run_gradcheck
-from weakbox_kit.losses import LossConfig, bce_loss, detail_refine_loss, dice_loss
+from weakbox_kit.losses import bce_loss, detail_refine_loss, dice_loss
 from weakbox_kit.metrics import confusion_counts, dsc_miou, hd95
 from weakbox_kit.pipeline import evaluate, net_config, predict_batch, split_dataset, train_weak
 from weakbox_kit.reports import write_metrics_report
@@ -145,7 +145,7 @@ def test_criterion_loss_unit_values():
     rng = np.random.default_rng(3)
     lp = rng.uniform(0.05, 0.95, (5, 5)).astype(np.float32)
     lt = (rng.uniform(0, 1, (5, 5)) > 0.5).astype(np.float32)
-    cfg = LossConfig()
+    cfg = RunConfig()
     live = detail_refine_loss(T.as_tensor(lp), lt, cfg).item()
     parts = 0.8 * dice_loss(T.as_tensor(lp), lt, cfg.smooth_eps).item() + 0.2 * bce_loss(T.as_tensor(lp), lt, cfg.clamp_eps).item()
     ok_live = abs(live - parts) <= 1e-6

@@ -219,6 +219,47 @@ def test_directory_as_checkpoint_is_data_error(workspace, tmp_path, capsys, comm
     assert f"checkpoint {folder}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path_kind", ["dataset_dir_file", "config_dir", "mm2b_in_dir", "infer_images_dir"])
+def test_unreadable_path_is_data_error(workspace, tmp_path, capsys, path_kind):
+    root, data_dir, run_cfg = workspace
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    out = str(tmp_path / "out")
+    if path_kind == "dataset_dir_file":
+        cfg = write_file(tmp_path / "file_data.cfg", f"dataset_dir = {ckpt}\nepochs = 1\n")
+        argv, culprit = ["train-weak", "--config", cfg, "--out", out], ckpt
+    elif path_kind == "config_dir":
+        argv, culprit = ["train-weak", "--config", str(folder), "--out", out], str(folder)
+    elif path_kind == "mm2b_in_dir":
+        argv, culprit = ["mm2b", "--in", str(folder), "--out", str(tmp_path / "o.pgm"), "--coords", str(tmp_path / "c.json")], str(folder)
+    else:
+        argv, culprit = ["infer", "--config", run_cfg, "--checkpoint", ckpt, "--images", str(folder), "--out", out], str(folder)
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert culprit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-weak", "eval", "infer"])
+@pytest.mark.parametrize("key, value", [("beta", "-1"), ("lambda2", "-0.1"), ("smooth_eps", "0")])
+def test_bad_loss_weight_fails_at_config_load(workspace, tmp_path, capsys, command, key, value):
+    root, data_dir, _ = workspace
+    cfg = write_file(tmp_path / "bad.cfg", f"dataset_dir = {data_dir}\nepochs = 1\n{key} = {value}\n")
+    ckpt = str(tmp_path / "init.ckpt")
+    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    out = str(tmp_path / "out")
+    argv = {
+        "train-weak": ["train-weak", "--config", cfg, "--out", out],
+        "eval": ["eval", "--config", cfg, "--checkpoint", ckpt, "--out", out],
+        "infer": ["infer", "--config", cfg, "--checkpoint", ckpt, "--images", os.path.join(data_dir, "images", "0000.pgm"), "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_eval_dataset_size_other_than_scale1_is_data_error(tmp_path):
     spec = DatasetSpec(count=4, size=48, seed=7)
     data_dir = str(tmp_path / "data48")

@@ -7,17 +7,8 @@ from hypothesis import strategies as st
 
 from weakbox_kit import tensor as T
 from weakbox_kit.boxes import EmptyMaskError
-from weakbox_kit.losses import (
-    LossConfig,
-    Phase,
-    bce_loss,
-    branch_loss,
-    detail_refine_loss,
-    dice_loss,
-    mm2b_loss,
-    sc_loss,
-    total_loss,
-)
+from weakbox_kit.config import RunConfig
+from weakbox_kit.losses import bce_loss, branch_loss, detail_refine_loss, dice_loss, mm2b_loss, sc_loss
 
 
 def bce_reference(pred, target, eps=1e-7):
@@ -100,14 +91,14 @@ def test_mm2b_loss_weights_by_branch():
     box[1:5, 1:5] = 1.0
     pred = np.clip(box * 0.9 + 0.05, 0, 1).astype(np.float32)
     base = branch_loss(T.as_tensor(pred), box).item()
-    cfg = LossConfig(beta=2.0, gamma=0.5)
+    cfg = RunConfig(beta=2.0, gamma=0.5)
     assert abs(mm2b_loss(T.as_tensor(pred), box, True, cfg).item() - 2.0 * base) < 1e-6
     assert abs(mm2b_loss(T.as_tensor(pred), box, False, cfg).item() - 0.5 * base) < 1e-6
 
 
 def test_mm2b_loss_mixed_batch_mean():
     rng = np.random.default_rng(2)
-    cfg = LossConfig(beta=1.3, gamma=0.6)
+    cfg = RunConfig(beta=1.3, gamma=0.6)
     pred = rng.uniform(0.05, 0.95, (2, 5, 5)).astype(np.float32)
     target = (rng.uniform(0, 1, (2, 5, 5)) > 0.5).astype(np.float32)
     values = mm2b_loss(T.as_tensor(pred), target, np.array([True, False]), cfg)
@@ -188,7 +179,7 @@ def test_detail_refine_perfect():
 
 def test_detail_refine_weighted_mix():
     # engineered so dice = 0.5 and bce = ln 2 under the default config
-    cfg = LossConfig()
+    cfg = RunConfig()
     d, b = 0.5, math.log(2)
     expect = cfg.lambda1 * d + cfg.lambda2 * b
     assert abs(expect - 0.53862) < 1e-3
@@ -202,7 +193,7 @@ def test_detail_refine_weighted_mix():
 
 
 def test_detail_refine_lambda1_zero():
-    cfg = LossConfig(lambda1=0.0, lambda2=0.2)
+    cfg = RunConfig(lambda1=0.0, lambda2=0.2)
     rng = np.random.default_rng(7)
     pred = rng.uniform(0.05, 0.95, (5, 5)).astype(np.float32)
     target = (rng.uniform(0, 1, (5, 5)) > 0.5).astype(np.float32)
@@ -210,32 +201,12 @@ def test_detail_refine_lambda1_zero():
     assert abs(detail_refine_loss(T.as_tensor(pred), target, cfg).item() - 0.2 * bb) < 1e-6
 
 
-def test_total_loss_weak_phase():
-    value = total_loss(Phase.WEAK, mm2b=T.Tensor(0.3), sc=T.Tensor(0.1)).item()
-    assert abs(value - 0.4) < 1e-7
-
-
-def test_total_loss_weak_ignores_refine():
-    value = total_loss(Phase.WEAK, mm2b=T.Tensor(0.3), sc=T.Tensor(0.1), refine=T.Tensor(9.0)).item()
-    assert abs(value - 0.4) < 1e-7
-
-
-def test_total_loss_refine_phase():
-    assert abs(total_loss(Phase.REFINE, refine=T.Tensor(0.25)).item() - 0.25) < 1e-9
-
-
-def test_total_loss_missing_component():
-    with pytest.raises(ValueError):
-        total_loss(Phase.WEAK, mm2b=T.Tensor(0.3))
-    with pytest.raises(ValueError):
-        total_loss(Phase.REFINE)
-
-
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(beta=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(smooth_eps=0.0)
+    RunConfig(beta=0.0, gamma=0.0, lambda1=0.0, lambda2=0.0, smooth_eps=1e-9, clamp_eps=1e-9).validate()
+    bad = [("beta", -1.0), ("gamma", -0.5), ("lambda1", -0.1), ("lambda2", -0.1), ("smooth_eps", 0.0), ("clamp_eps", -1e-7)]
+    for key, value in bad:
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: value}).validate()
 
 
 @given(st.integers(0, 10_000))

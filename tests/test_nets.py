@@ -175,18 +175,18 @@ def test_two_scale_forward_shapes_and_determinism(params):
     # logits are bit-identical to a fresh single-scale forward on the
     # resized input with the same prompts, with and without the gate
     small = _image(23, size=48)
-    for use_cnn_gate in (True, False):
+    for ncfg in (cfg, NetConfig(use_cnn_gate=False)):
         planes = []
 
         def prompt_for(plane):
             planes.append(plane.shape)
             return BoxCoords(5, 9, 40 + len(planes), 50)
 
-        out = two_scale_forward(params, small, prompt_for, training=False, cfg=cfg, use_cnn_gate=use_cnn_gate)
+        out = two_scale_forward(params, small, prompt_for, training=False, cfg=ncfg)
         assert planes == [(64, 64), (64, 64)]
         assert out.prompts == [scale_coords(BoxCoords(5, 9, 40 + k, 50), 64, 48) for k in (1, 2)]
         coords_a = [scale_coords(c, 48, 64) for c in out.prompts]
-        ref = single_scale_forward(params, T.bilinear_resize(small, 64, 64), coords_a, False, use_cnn_gate)
+        ref = single_scale_forward(params, T.bilinear_resize(small, 64, 64), coords_a, False, ncfg)
         assert np.array_equal(out.logits_a.data, ref.data)
 
 

@@ -20,7 +20,7 @@ from weakbox_kit.boxes import (
 )
 from weakbox_kit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from weakbox_kit.config import RunConfig
-from weakbox_kit.losses import Phase, branch_loss, sc_loss, total_loss
+from weakbox_kit.losses import branch_loss, sc_loss
 from weakbox_kit import nets
 from weakbox_kit.nets import NetConfig, detail_refine_forward, init_params, scale_coords, single_scale_forward, two_scale_forward
 from weakbox_kit.pipeline import (
@@ -29,7 +29,6 @@ from weakbox_kit.pipeline import (
     evaluate,
     evaluate_predictions,
     mean_metrics,
-    loss_config,
     net_config,
     predict_batch,
     prompt_from_probability,
@@ -448,7 +447,7 @@ def _two_scale_predict(params, images, cfg, use_refine):
     """predict_batch's four items read off the full two-scale forward."""
     with T.no_grad():
         x = T.Tensor(images)
-        out = two_scale_forward(params, x, prompt_from_probability, False, net_config(cfg), cfg.use_cnn_gate)
+        out = two_scale_forward(params, x, prompt_from_probability, False, net_config(cfg))
         logits = T.bilinear_resize(out.logits_a, images.shape[2], images.shape[3])
         refined = T.sigmoid(detail_refine_forward(params, logits, x, training=False).refined).data if use_refine else None
         return T.sigmoid(logits).data, refined, out.prompts, (out.prob_a.data, out.prob_b_up.data)
@@ -520,11 +519,10 @@ def test_gt_pixels_beyond_box_never_influence_weak_loss(tiny_dataset_dir):
     # the weak loss must be bit-identical
     from weakbox_kit.boxes import box_coords, rasterize_box
     from weakbox_kit.nets import init_params
-    from weakbox_kit.pipeline import _batch_arrays, loss_config, net_config, weak_batch_loss
+    from weakbox_kit.pipeline import _batch_arrays, weak_batch_loss
 
     _, samples = load_dataset(tiny_dataset_dir)
     cfg = cfg_for(tiny_dataset_dir, epochs=1)
-    ncfg, lcfg = net_config(cfg), loss_config(cfg)
 
     sample = samples[0]
     coords = box_coords(sample.gt_mask)
@@ -538,9 +536,9 @@ def test_gt_pixels_beyond_box_never_influence_weak_loss(tiny_dataset_dir):
 
     losses = []
     for mask in (sample.gt_mask, boxed):
-        params = init_params(cfg.seed, ncfg, include_refine=False)
+        params = init_params(cfg.seed, net_config(cfg), include_refine=False)
         images, weaks = _batch_arrays([Stub(sample.image, mask)], [0], cfg, 0)
-        losses.append(weak_batch_loss(params, images, weaks, cfg, ncfg, lcfg, training=True).item())
+        losses.append(weak_batch_loss(params, images, weaks, cfg).item())
     assert losses[0] == losses[1]
 
 
@@ -549,12 +547,11 @@ def test_weak_step_updates_backbone_bn_once_per_scale(tiny_dataset_dir, monkeypa
     # runs three times (neutral, scale one, scale two)
     from collections import Counter
 
-    from weakbox_kit.pipeline import _batch_arrays, loss_config, weak_batch_loss
+    from weakbox_kit.pipeline import _batch_arrays, weak_batch_loss
 
     _, samples = load_dataset(tiny_dataset_dir)
     cfg = cfg_for(tiny_dataset_dir, epochs=1)
-    ncfg = net_config(cfg)
-    params = init_params(cfg.seed, ncfg, include_refine=False)
+    params = init_params(cfg.seed, net_config(cfg), include_refine=False)
     layer_of = {id(arr): name[: -len(".running_mean")] for name, arr in params.stats.items() if name.endswith(".running_mean")}
     updates = Counter()
     batchnorm2d = T.batchnorm2d
@@ -566,7 +563,7 @@ def test_weak_step_updates_backbone_bn_once_per_scale(tiny_dataset_dir, monkeypa
 
     monkeypatch.setattr(T, "batchnorm2d", counting)
     images, weaks = _batch_arrays(samples, [0, 1, 2, 3], cfg, 0)
-    weak_batch_loss(params, images, weaks, cfg, ncfg, loss_config(cfg), training=True)
+    weak_batch_loss(params, images, weaks, cfg)
     assert set(updates) == set(layer_of.values())
     assert {n: c for n, c in updates.items() if n.startswith("cnn.")} == {"cnn.stage1.bn": 2, "cnn.stage2.bn": 2}
     assert {n: c for n, c in updates.items() if n.startswith("head.")} == {"head.bn1": 3, "head.bn2": 3}
@@ -608,7 +605,7 @@ def tensor_mask_to_box(plane):
     return T.clamp(T.sub(band, T.Tensor(gap, dtype=band.data.dtype)), 0.0, 1.0), status
 
 
-def oracle_weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
+def oracle_weak_loss(prob_a, prob_b_up, weak_boxes, cfg):
     """The per-sample weak loss that the batched `weak_loss` replaced:
     tensor_mask_to_box on each plane, with a foreground-path fallback for a
     plane that has no pixel at the threshold."""
@@ -619,7 +616,7 @@ def oracle_weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
             foreground = status.status is Center.FOREGROUND
         except EmptyMaskError:
             box, foreground = backproject_min(project(plane)), True
-        return T.affine(branch_loss(box, weak, lcfg), lcfg.beta if foreground else lcfg.gamma, 0.0)
+        return T.affine(branch_loss(box, weak, cfg), cfg.beta if foreground else cfg.gamma, 0.0)
 
     n = prob_a.data.shape[0]
     total = None
@@ -628,11 +625,11 @@ def oracle_weak_loss(prob_a, prob_b_up, weak_boxes, cfg, lcfg):
         p_b = T.plane(prob_b_up, b, 0)
         weak = weak_boxes[b]
         if cfg.supervision == "fullbox":
-            l_box = T.affine(T.add(branch_loss(p_a, weak, lcfg), branch_loss(p_b, weak, lcfg)), 0.5, 0.0)
+            l_box = T.affine(T.add(branch_loss(p_a, weak, cfg), branch_loss(p_b, weak, cfg)), 0.5, 0.0)
         else:
             l_box = T.affine(T.add(mm2b(p_a, weak), mm2b(p_b, weak)), 0.5, 0.0)
         l_sc = sc_loss(p_a, p_b, weak) if cfg.use_sc else T.Tensor(0.0, dtype=np.float32)
-        sample_loss = total_loss(Phase.WEAK, mm2b=l_box, sc=l_sc)
+        sample_loss = T.add(l_box, l_sc)
         total = sample_loss if total is None else T.add(total, sample_loss)
     return T.affine(total, 1.0 / n, 0.0)
 
@@ -670,12 +667,11 @@ def test_weak_loss_matches_per_sample_oracle(supervision, use_sc):
     assert foreground.any() and not foreground.all() and empty.any()
 
     cfg = RunConfig(beta=1.5, gamma=0.7, supervision=supervision, use_sc=use_sc)
-    lcfg = loss_config(cfg)
     got, grads = [], []
     for loss_fn in (weak_loss, oracle_weak_loss):
         ta = T.Tensor(prob_a, requires_grad=True)
         tb = T.Tensor(prob_b, requires_grad=True)
-        loss = loss_fn(ta, tb, weak, cfg, lcfg)
+        loss = loss_fn(ta, tb, weak, cfg)
         T.backward(loss)
         got.append(loss.item())
         grads.append((ta.grad, tb.grad))
