@@ -23,6 +23,9 @@ from . import tensor as T
 
 MaskLike = Union[np.ndarray, T.Tensor]
 
+# the one foreground rule: a pixel is foreground when its value is >= THRESHOLD
+THRESHOLD = 0.5
+
 
 class EmptyMaskError(ValueError):
     """Raised when an operation needs foreground pixels and there are none."""
@@ -99,14 +102,14 @@ def backproject_max(proj: Projection) -> MaskLike:
     return _outer(proj, T.maximum, np.maximum)
 
 
-def center_status(mask: MaskLike, threshold: float = 0.5) -> CenterStatus:
+def center_status(mask: MaskLike) -> CenterStatus:
     """Locate the thresholded-foreground centroid and classify it.
 
-    The centroid is the half-up-rounded mean position of pixels >= threshold;
+    The centroid is the half-up-rounded mean position of pixels >= THRESHOLD;
     the status says whether the mask at that pixel is itself foreground.
     """
     arr = _raw(mask)
-    fg = arr >= threshold
+    fg = arr >= THRESHOLD
     rows, cols = np.nonzero(fg)
     if rows.size == 0:
         raise EmptyMaskError("no foreground: no pixel reaches the threshold")
@@ -126,11 +129,11 @@ def _min_run_gap(occupied: np.ndarray) -> int:
     return int(gaps.min()) if gaps.size else 0
 
 
-def min_gap_box(mask: MaskLike, centroid, threshold: float = 0.5) -> np.ndarray:
+def min_gap_box(mask: MaskLike, centroid) -> np.ndarray:
     """Rectangle sized by the smallest projection run gaps, centered on the
     centroid and clipped to the grid. Empty when either gap is zero."""
     arr = _raw(mask)
-    fg = arr >= threshold
+    fg = arr >= THRESHOLD
     d_h = _min_run_gap(fg.any(axis=1))
     d_w = _min_run_gap(fg.any(axis=0))
     out = np.zeros(arr.shape, dtype=arr.dtype)
@@ -143,17 +146,17 @@ def min_gap_box(mask: MaskLike, centroid, threshold: float = 0.5) -> np.ndarray:
     return out
 
 
-def decide_branch(mask: MaskLike, threshold: float = 0.5):
+def decide_branch(mask: MaskLike):
     """The branch policy for one mask: its CenterStatus and the gap rectangle
     to cut from the cross-band union, or None on the foreground path. Raises
     EmptyMaskError when no pixel reaches the threshold."""
-    status = center_status(mask, threshold)
+    status = center_status(mask)
     if status.status is Center.FOREGROUND:
         return status, None
-    return status, min_gap_box(mask, status.centroid, threshold)
+    return status, min_gap_box(mask, status.centroid)
 
 
-def mask_to_box(mask: np.ndarray, threshold: float = 0.5):
+def mask_to_box(mask: np.ndarray):
     """Turn a (soft) numpy mask into its box supervision mask.
 
     Foreground-centered masks take the min-backprojection path; background-
@@ -161,13 +164,13 @@ def mask_to_box(mask: np.ndarray, threshold: float = 0.5):
     the centered gap rectangle, clamped to [0, 1]. Returns (box, CenterStatus).
     """
     mask = np.asarray(mask)
-    status, gap = decide_branch(mask, threshold)
+    status, gap = decide_branch(mask)
     proj = project(mask)
     box = backproject_min(proj) if gap is None else np.clip(backproject_max(proj) - gap, 0.0, 1.0)
     return box, status
 
 
-def decide_branches(masks: np.ndarray, threshold: float = 0.5):
+def decide_branches(masks: np.ndarray):
     """`decide_branch` for each sample of an (N, H, W) stack, in numpy.
 
     Returns a boolean (N,) foreground mark and the (N, H, W) gap rectangles,
@@ -179,7 +182,7 @@ def decide_branches(masks: np.ndarray, threshold: float = 0.5):
     gaps = np.zeros_like(masks)
     for i, mask in enumerate(masks):
         try:
-            _, gap = decide_branch(mask, threshold)
+            _, gap = decide_branch(mask)
         except EmptyMaskError:
             continue
         if gap is not None:
@@ -188,7 +191,7 @@ def decide_branches(masks: np.ndarray, threshold: float = 0.5):
     return foreground, gaps
 
 
-def batch_mask_to_box(masks: T.Tensor, threshold: float = 0.5):
+def batch_mask_to_box(masks: T.Tensor):
     """Box supervision masks for an (N, H, W) stack in one pass.
 
     Both branch transforms run on the whole stack from one projection; a
@@ -199,7 +202,7 @@ def batch_mask_to_box(masks: T.Tensor, threshold: float = 0.5):
     """
     if masks.data.ndim != 3:
         raise T.ShapeError(f"batch_mask_to_box expects an (N, H, W) stack, got shape {masks.data.shape}")
-    foreground, gaps = decide_branches(masks.data, threshold)
+    foreground, gaps = decide_branches(masks.data)
     dt = masks.data.dtype
     proj = project(masks)
     box_fg = backproject_min(proj)
@@ -209,12 +212,12 @@ def batch_mask_to_box(masks: T.Tensor, threshold: float = 0.5):
     return box, foreground
 
 
-def box_coords(box_mask: MaskLike, threshold: float = 0.5) -> BoxCoords:
+def box_coords(box_mask: MaskLike) -> BoxCoords:
     """Tight inclusive coordinate box over the thresholded support."""
     arr = _raw(box_mask)
-    rows, cols = np.nonzero(arr >= threshold)
+    rows, cols = np.nonzero(arr >= THRESHOLD)
     if rows.size == 0:
-        raise EmptyMaskError("no support: box mask has no pixel above the threshold")
+        raise EmptyMaskError("no support: no box-mask pixel reaches the threshold")
     return BoxCoords(int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max()))
 
 
@@ -227,8 +230,8 @@ def rasterize_box(coords: BoxCoords, height: int, width: int, dtype=np.float32) 
     return out
 
 
-def gt_box_mask(gt_mask: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def gt_box_mask(gt_mask: np.ndarray) -> np.ndarray:
     """Weak label: the rasterized tight bounding rectangle of a GT mask."""
     arr = np.asarray(gt_mask)
-    coords = box_coords(arr, threshold)
+    coords = box_coords(arr)
     return rasterize_box(coords, arr.shape[0], arr.shape[1], dtype=arr.dtype if arr.dtype.kind == "f" else np.float32)

@@ -79,18 +79,14 @@ def _pack_array(arr):
     return out + arr.tobytes()
 
 
-def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_state=None, seed=0, epoch=0, name_filter=None):
-    """Serialize the store (optionally only names passing name_filter)."""
+def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_state=None, seed=0, epoch=0):
+    """Serialize the whole store."""
     optimizer_state = optimizer_state or {"step": 0, "m": {}, "v": {}}
     entries = []
     for name in params.names():
-        if name_filter and not name_filter(name):
-            continue
         t = params.tensors[name]
         entries.append((name, _KIND_TRAINABLE if t.requires_grad else _KIND_FROZEN, t.data))
     for name in sorted(params.stats):
-        if name_filter and not name_filter(name):
-            continue
         entries.append((name, _KIND_STAT, params.stats[name]))
 
     blob = bytearray()

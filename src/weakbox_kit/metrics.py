@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .boxes import EmptyMaskError
+from .boxes import THRESHOLD, EmptyMaskError
 
 
 @dataclass(frozen=True)
@@ -20,14 +20,14 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion_counts(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> ConfusionCounts:
-    """Threshold both grids and count pixel agreement."""
+def confusion_counts(pred: np.ndarray, gt: np.ndarray) -> ConfusionCounts:
+    """Threshold both grids at THRESHOLD and count pixel agreement."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"confusion_counts: shapes differ, {pred.shape} vs {gt.shape}")
-    p = pred >= threshold
-    g = gt >= threshold
+    p = pred >= THRESHOLD
+    g = gt >= THRESHOLD
     return ConfusionCounts(
         tp=int(np.count_nonzero(p & g)),
         fp=int(np.count_nonzero(p & ~g)),
@@ -57,7 +57,7 @@ def acc_sen_spe(c: ConfusionCounts):
     return acc, sen, spe
 
 
-def hd95(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> float:
+def hd95(pred: np.ndarray, gt: np.ndarray) -> float:
     """Symmetric 95th-percentile Hausdorff distance between foreground sets.
 
     Distances are Euclidean nearest-neighbor distances over the full
@@ -69,8 +69,8 @@ def hd95(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> float:
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"hd95: shapes differ, {pred.shape} vs {gt.shape}")
-    a = pred >= threshold
-    b = gt >= threshold
+    a = pred >= THRESHOLD
+    b = gt >= THRESHOLD
     if not (a.any() and b.any()):
         raise EmptyMaskError("undefined HD95: one of the masks is empty after thresholding")
     # every point and its nearest neighbour lie in the joint bounding box, so

@@ -18,6 +18,7 @@ from .synth import rng_from_key
 IN_CHANNELS = 1
 HEAD_CHANNELS = 16
 REFINE_CHANNELS = (8, 16, 32)
+FEATURE_STRIDE = 4  # input pixels per feature pixel: the encoder's two stride-2 stages
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def _add_bn(params, name, channels, frozen=False):
 def init_params(seed: int, cfg: NetConfig | None = None, include_refine: bool = True) -> ParamStore:
     """Build the full parameter store. The global encoder is frozen."""
     cfg = cfg or NetConfig()
-    params = ParamStore()
+    params = init_refiner(seed) if include_refine else ParamStore()
     cin, feat = IN_CHANNELS, cfg.feat_channels
     mid = feat // 2
 
@@ -118,16 +119,20 @@ def init_params(seed: int, cfg: NetConfig | None = None, include_refine: bool = 
     # sparse to escape the scale-consistency flattening pull
     w = params["head.out.w"].data
     w -= w.mean(axis=1, keepdims=True)
+    return params
 
-    if include_refine:
-        rng = rng_from_key(seed, "refine")
-        c1, c2, c3 = REFINE_CHANNELS
-        _add_res_block(params, rng, "refine.enc1", cin + 1, c1)
-        _add_res_block(params, rng, "refine.enc2", c1, c2)
-        _add_res_block(params, rng, "refine.bottleneck", c2, c3)
-        _add_res_block(params, rng, "refine.dec2", c3 + c2, c2)
-        _add_res_block(params, rng, "refine.dec1", c2 + c1, c1)
-        _add_conv(params, rng, "refine.out", 1, c1, 1, zero=True)
+
+def init_refiner(seed: int) -> ParamStore:
+    """The refiner's parameters alone, as init_params(seed) draws them."""
+    params = ParamStore()
+    rng = rng_from_key(seed, "refine")
+    c1, c2, c3 = REFINE_CHANNELS
+    _add_res_block(params, rng, "refine.enc1", IN_CHANNELS + 1, c1)
+    _add_res_block(params, rng, "refine.enc2", c1, c2)
+    _add_res_block(params, rng, "refine.bottleneck", c2, c3)
+    _add_res_block(params, rng, "refine.dec2", c3 + c2, c2)
+    _add_res_block(params, rng, "refine.dec1", c2 + c1, c1)
+    _add_conv(params, rng, "refine.out", 1, c1, 1, zero=True)
     return params
 
 
@@ -190,19 +195,19 @@ def fusion_gate(x_global, x_local, alpha_logit):
     return T.add(T.mul(alpha, x_global), T.mul(one_minus, x_local))
 
 
-def prompt_channel(coords_list, batch, feat_h, feat_w, down_factor, dtype=np.float32):
-    """Rasterize per-sample prompt boxes as a {0,1} channel at feature
+def prompt_channel(coords_list, batch, feat_h, feat_w):
+    """Rasterize per-sample prompt boxes as a float32 {0,1} channel at feature
     resolution. None entries mean a neutral full-image prompt."""
-    out = np.zeros((batch, 1, feat_h, feat_w), dtype=dtype)
+    out = np.zeros((batch, 1, feat_h, feat_w), dtype=np.float32)
     for b in range(batch):
         coords = coords_list[b] if coords_list is not None else None
         if coords is None:
             out[b] = 1.0
             continue
-        r0 = min(coords.row_min // down_factor, feat_h - 1)
-        r1 = min(coords.row_max // down_factor, feat_h - 1)
-        c0 = min(coords.col_min // down_factor, feat_w - 1)
-        c1 = min(coords.col_max // down_factor, feat_w - 1)
+        r0 = min(coords.row_min // FEATURE_STRIDE, feat_h - 1)
+        r1 = min(coords.row_max // FEATURE_STRIDE, feat_h - 1)
+        c0 = min(coords.col_min // FEATURE_STRIDE, feat_w - 1)
+        c1 = min(coords.col_max // FEATURE_STRIDE, feat_w - 1)
         out[b, 0, r0 : r1 + 1, c0 : c1 + 1] = 1.0
     return out
 
@@ -211,15 +216,15 @@ def seg_head_forward(params, fused, prompt_coords, training):
     """Box-prompted head over fused features; returns full-input-scale logits.
 
     The prompt is concatenated as an extra channel; the logit map is produced
-    at feature resolution and bilinearly upsampled by the 4x stage factor.
+    at feature resolution and bilinearly upsampled by FEATURE_STRIDE.
     """
     b, _, fh, fw = fused.data.shape
-    prompt = prompt_channel(prompt_coords, b, fh, fw, down_factor=4, dtype=fused.data.dtype)
+    prompt = prompt_channel(prompt_coords, b, fh, fw)
     h = T.concat([fused, T.Tensor(prompt, dtype=fused.data.dtype)], axis=1)
     h = T.relu(_bn(params, "head.bn1", _conv(params, "head.conv1", h, pad=1), training))
     h = T.relu(_bn(params, "head.bn2", _conv(params, "head.conv2", h, pad=1), training))
     logits = _conv(params, "head.out", h)
-    return T.bilinear_resize(logits, fh * 4, fw * 4)
+    return T.bilinear_resize(logits, fh * FEATURE_STRIDE, fw * FEATURE_STRIDE)
 
 
 def encode(params, image, training, cfg: NetConfig):

@@ -6,11 +6,11 @@ import numpy as np
 class AdamW:
     """Adam with decoupled weight decay; float32 state for exact checkpoints."""
 
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-4, weight_decay=0.01):
         self.params = params
         self.lr = float(lr)
-        self.b1, self.b2 = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.m = {n: np.zeros_like(t.data) for n, t in params.trainable()}
@@ -51,13 +51,13 @@ class AdamW:
 
 
 class SGD:
-    """Plain SGD with optional momentum and coupled weight decay."""
+    """SGD with momentum 0.9 and no weight decay."""
 
-    def __init__(self, params, lr=1e-2, momentum=0.9, weight_decay=0.0):
+    momentum = 0.9
+
+    def __init__(self, params, lr=1e-2):
         self.params = params
         self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.buf = {n: np.zeros_like(t.data) for n, t in params.trainable()}
 
@@ -66,12 +66,11 @@ class SGD:
         for name, p in self.params.trainable():
             if p.grad is None:
                 continue
-            g = p.grad + np.float32(self.weight_decay) * p.data
             if name not in self.buf:
                 self.buf[name] = np.zeros_like(p.data)
             b = self.buf[name]
             b *= np.float32(self.momentum)
-            b += g
+            b += p.grad
             p.data -= np.float32(self.lr) * b
 
     def state_dict(self):
@@ -82,9 +81,10 @@ class SGD:
         self.buf = {n: np.asarray(a, dtype=np.float32).copy() for n, a in state["m"].items()}
 
 
-def make_optimizer(kind, params, lr, weight_decay=0.01):
+def make_optimizer(kind, params, lr, weight_decay):
+    """The optimizer of the given kind; weight_decay is AdamW's, SGD takes none."""
     if kind == "adamw":
         return AdamW(params, lr=lr, weight_decay=weight_decay)
     if kind == "sgd":
-        return SGD(params, lr=lr, weight_decay=0.0)
+        return SGD(params, lr=lr)
     raise ValueError(f"unknown optimizer {kind!r}")

@@ -20,16 +20,16 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from . import tensor as T
-from .boxes import BoxCoords, Center, EmptyMaskError, batch_mask_to_box, box_coords, center_status, gt_box_mask
+from .boxes import THRESHOLD, BoxCoords, Center, EmptyMaskError, batch_mask_to_box, box_coords, center_status, gt_box_mask
 from .boxes import mask_to_box  # noqa: F401  perfbench/tracing.py patches this name here
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .losses import branch_loss, detail_refine_loss, mm2b_loss, sc_loss
 from .metrics import acc_sen_spe, confusion_counts, dsc_miou, hd95
-from .nets import NetConfig, detail_refine_forward, init_params, scale_one_forward, two_scale_forward
+from .nets import NetConfig, detail_refine_forward, init_params, init_refiner, scale_one_forward, two_scale_forward
 from .nets import single_scale_forward  # noqa: F401  perfbench/tracing.py patches this name here
 from .optim import make_optimizer
-from .reports import MetricsRow
+from .reports import FIELDS, MetricsRow
 from .synth import load_dataset, rng_from_key
 
 
@@ -64,14 +64,14 @@ def augment_pair(image, mask, rng):
     return np.ascontiguousarray(image), np.ascontiguousarray(mask)
 
 
-def prompt_from_probability(prob_plane_np, threshold=0.5):
+def prompt_from_probability(prob_plane_np):
     """Box prompt coordinates of a prediction plane, None when it is empty."""
     try:
-        status = center_status(prob_plane_np, threshold)
+        status = center_status(prob_plane_np)
     except EmptyMaskError:
         return None
     if status.status is Center.FOREGROUND:
-        return box_coords(prob_plane_np, threshold)
+        return box_coords(prob_plane_np)
     # The centroid rule: these are box_coords(mask_to_box(p)) without the transform. On the background branch every
     # occupied row band spans all columns and every occupied column band all rows; the gap rectangle is empty unless
     # both axes have two or more runs, and then it is narrower than the outermost runs' spread on each axis, so it
@@ -180,13 +180,12 @@ def _fit(cfg, params, optimizer, items, stream, batch_loss, start_epoch=0):
     return losses
 
 
-def _result(cfg, params, optimizer, losses, name_filter=None):
-    """The run's result; saves the checkpoint (only names passing
-    name_filter) when checkpoint_out is set."""
+def _result(cfg, params, optimizer, losses):
+    """The run's result; saves the checkpoint when checkpoint_out is set."""
     path = cfg.checkpoint_out
     if path:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        save_checkpoint(path, params, cfg.optimizer, optimizer.state_dict(), seed=cfg.seed, epoch=cfg.epochs, name_filter=name_filter)
+        save_checkpoint(path, params, cfg.optimizer, optimizer.state_dict(), seed=cfg.seed, epoch=cfg.epochs)
     return TrainResult(params=params, epoch_losses=losses, checkpoint_path=path)
 
 
@@ -238,14 +237,14 @@ def train_refine(cfg: RunConfig) -> TrainResult:
     """Refiner phase on the labeled fraction of the training split.
 
     Coarse inputs are degraded copies of the real masks (logit domain); the
-    output checkpoint carries the refine parameters flagged frozen. The phase
+    model and its checkpoint hold the refiner alone, flagged frozen. The phase
     always starts from init: it cannot resume from checkpoint_in.
     """
     if cfg.checkpoint_in:
         raise ValueError(f"train_refine cannot resume: checkpoint_in is set ({cfg.checkpoint_in}); the refine phase always starts from init")
     train_samples = _train_split(cfg, "refine")
     labeled = refine_subset_indices(len(train_samples), cfg.refine_label_fraction, cfg.seed)
-    params = init_params(cfg.seed, net_config(cfg), include_refine=True)
+    params = init_refiner(cfg.seed)
     optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
 
     def batch_loss(picks, epoch):
@@ -263,7 +262,7 @@ def train_refine(cfg: RunConfig) -> TrainResult:
 
     losses = _fit(cfg, params, optimizer, labeled, "refine_shuffle", batch_loss)
     params.set_frozen("refine.")
-    return _result(cfg, params, optimizer, losses, name_filter=lambda name: name.startswith("refine."))
+    return _result(cfg, params, optimizer, losses)
 
 
 def has_refine(params):
@@ -344,10 +343,7 @@ def evaluate_predictions(preds, gts, sample_ids=None):
 def mean_metrics(rows):
     if not rows:
         raise ValueError("cannot average an empty metrics report")
-    out = {}
-    for name in ("dsc", "iou_fg", "miou", "acc", "sen", "spe", "hd95"):
-        out[name] = float(np.mean([getattr(r, name) for r in rows]))
-    return out
+    return {name: float(np.mean([getattr(r, name) for r in rows])) for name in FIELDS[1:]}
 
 
 def evaluate(cfg: RunConfig, params, samples, use_refine=False, sample_ids=None):
@@ -370,6 +366,6 @@ def evaluate(cfg: RunConfig, params, samples, use_refine=False, sample_ids=None)
             preds.append(chosen[b, 0])
             gts.append(s.gt_mask)
             box = s.weak_box
-            gaps.append(float(np.abs(pa[b, 0] - pb[b, 0])[box >= 0.5].mean()))
+            gaps.append(float(np.abs(pa[b, 0] - pb[b, 0])[box >= THRESHOLD].mean()))
     rows = evaluate_predictions(preds, gts, sample_ids=sample_ids)
     return rows, mean_metrics(rows), float(np.mean(gaps))

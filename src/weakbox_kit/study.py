@@ -59,13 +59,14 @@ def run_seed(seed, root, epochs, refine_epochs):
 
     # the refiner is frozen, so the full variant trains the same with it as without
     cfg_full, full = weak(refine_checkpoint=rcfg.checkpoint_out)
-    _, enc = weak(use_cnn_gate=False)
-    _, nosc = weak(use_sc=False)
+    cfg_enc, enc = weak(use_cnn_gate=False)
+    cfg_nosc, nosc = weak(use_sc=False)
     cfg_box, fullbox = weak(supervision="fullbox")
 
+    # each model is scored with its own config: gate-off scored gate-on blends in an untrained CNN block
     _, m_full, gap_sc = evaluate(cfg_full, full.params, holdout)
-    _, m_enc, _ = evaluate(cfg_full, enc.params, holdout)
-    _, _, gap_nosc = evaluate(cfg_full, nosc.params, holdout)
+    _, m_enc, _ = evaluate(cfg_enc, enc.params, holdout)
+    _, _, gap_nosc = evaluate(cfg_nosc, nosc.params, holdout)
     _, m_refined, _ = evaluate(cfg_full, full.params, holdout, use_refine=True)
     _, m_multi, _ = evaluate(cfg_full, full.params, multi)
     _, m_multi_box, _ = evaluate(cfg_box, fullbox.params, multi)

@@ -16,6 +16,8 @@ import itertools
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+BN_MOMENTUM = 0.9  # batchnorm2d's running-statistic decay
+BN_EPS = 1e-5
 
 _node_ids = itertools.count()
 _grad_enabled = True
@@ -598,11 +600,11 @@ def bilinear_resize(x, out_h, out_w):
     return _wrap(out, (x,), grad_fn)
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.9, eps=1e-5):
+def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
     """Per-channel batch normalization on NCHW.
 
     Training mode normalizes with batch statistics (population variance) and
-    updates the running arrays in place: r = momentum * r + (1-momentum) * batch.
+    updates the running arrays in place: r = BN_MOMENTUM * r + (1 - BN_MOMENTUM) * batch.
     Eval mode normalizes with the running statistics.
     """
     if x.data.ndim != 4:
@@ -618,10 +620,10 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
         np.square(sq, out=sq)
         var = sq.mean(axis=(0, 2, 3))
         del sq
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mu
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
         mu = mu.astype(dt)
         var = var.astype(dt)
     else:
@@ -630,7 +632,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
 
     # temporaries below are reused in place, in the operation order of
     # gamma * (x - mu) * inv + beta and its gradient
-    inv = (1.0 / np.sqrt(var + dt.type(eps)))[None, :, None, None]
+    inv = (1.0 / np.sqrt(var + dt.type(BN_EPS)))[None, :, None, None]
     xhat = x.data - mu[None, :, None, None]
     xhat *= inv
     out = xhat * gamma.data[None, :, None, None]

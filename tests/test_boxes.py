@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from weakbox_kit import tensor as T
 from weakbox_kit.boxes import (
+    THRESHOLD,
     BoxCoords,
     Center,
     EmptyMaskError,
@@ -13,12 +14,15 @@ from weakbox_kit.boxes import (
     batch_mask_to_box,
     box_coords,
     center_status,
+    decide_branches,
     gt_box_mask,
     mask_to_box,
     min_gap_box,
     project,
     rasterize_box,
 )
+from weakbox_kit.metrics import confusion_counts, hd95
+from weakbox_kit.pipeline import prompt_from_probability
 
 
 def random_binary_mask(rng, max_side=32, ensure_fg=True):
@@ -419,3 +423,36 @@ def test_single_connected_object_equals_tight_box():
     g[4, 6] = 1.0  # bump on the side, still axis-connected
     t1 = backproject_min(project(g))
     assert np.array_equal(t1, gt_box_mask(g))
+
+
+def test_threshold_boundary_is_foreground():
+    # one rule everywhere: a pixel at exactly THRESHOLD is foreground, one
+    # float32 ulp below it is not
+    below = np.nextafter(np.float32(THRESHOLD), np.float32(0.0))
+    blob, faint = np.zeros((5, 5), dtype=np.float32), np.zeros((5, 5), dtype=np.float32)
+    blob[1:3, 2:4], faint[1:3, 2:4] = THRESHOLD, below
+    status = center_status(blob)
+    assert status.status is Center.FOREGROUND and status.centroid == (2, 3)
+    assert box_coords(blob) == BoxCoords(1, 2, 2, 3)
+    assert prompt_from_probability(blob) == BoxCoords(1, 2, 2, 3)
+    assert np.array_equal(gt_box_mask(blob), (blob > 0).astype(np.float32))
+    for empty in (center_status, box_coords, gt_box_mask):
+        with pytest.raises(EmptyMaskError):
+            empty(faint)
+    assert prompt_from_probability(faint) is None
+
+    # two corner pixels centre the mask on background; one ulp below, the
+    # mask is empty and takes the foreground path
+    pair = np.zeros((2, 5, 5), dtype=np.float32)
+    pair[0, 0, 0] = pair[0, 4, 4] = THRESHOLD
+    pair[1, 0, 0] = pair[1, 4, 4] = below
+    foreground, gaps = decide_branches(pair)
+    assert foreground.tolist() == [False, True]
+    assert gaps[0].sum() == 9.0 and not gaps[1].any()
+
+    assert confusion_counts(blob, blob).tp == 4
+    counts = confusion_counts(faint, blob)
+    assert (counts.tp, counts.fn) == (0, 4)
+    assert hd95(blob, blob) == 0.0
+    with pytest.raises(EmptyMaskError):
+        hd95(faint, blob)

@@ -159,25 +159,18 @@ def test_trailing_data_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_name_filter_saves_subset(tmp_path):
-    params = init_params(3, NetConfig())
-    path = tmp_path / "refine.ckpt"
-    save_checkpoint(path, params, name_filter=lambda n: n.startswith("refine."))
-    ck = load_checkpoint(path)
-    assert ck.tensors and all(n.startswith("refine.") for n in ck.tensors)
-    assert all(n.startswith("refine.") for n in ck.stats)
-
-
 def test_merge_into_respects_prefix_and_frozen(tmp_path):
     donor = init_params(4, NetConfig())
     path = tmp_path / "r.ckpt"
-    save_checkpoint(path, donor, name_filter=lambda n: n.startswith("refine."))
+    save_checkpoint(path, donor)
     target = init_params(5, NetConfig(), include_refine=False)
     assert "refine.out.w" not in target.tensors
     load_checkpoint(path).merge_into(target, "refine.", frozen=True)
     assert "refine.out.w" in target.tensors
     assert not target["refine.out.w"].requires_grad
     assert np.array_equal(target["refine.out.w"].data, donor["refine.out.w"].data)
+    # entries outside the prefix keep the target's own values
+    assert np.array_equal(target["head.out.w"].data, init_params(5, NetConfig())["head.out.w"].data)
 
 
 def test_magic_constant():

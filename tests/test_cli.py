@@ -141,11 +141,10 @@ def test_infer_untrained_refine_is_identity(workspace, tmp_path):
     # a zero-initialized refine head leaves the written mask byte-identical
     root, data_dir, run_cfg = workspace
     from weakbox_kit.checkpoint import save_checkpoint
-    from weakbox_kit.nets import NetConfig, init_params
+    from weakbox_kit.nets import init_refiner
 
-    fresh = init_params(5, NetConfig())
     refine_ckpt = str(tmp_path / "fresh_refine.ckpt")
-    save_checkpoint(refine_ckpt, fresh, name_filter=lambda n: n.startswith("refine."))
+    save_checkpoint(refine_ckpt, init_refiner(5))
 
     out_dir = str(tmp_path / "run")
     assert main(["train-weak", "--config", run_cfg, "--out", out_dir]) == EXIT_OK

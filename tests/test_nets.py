@@ -132,7 +132,7 @@ def test_sgd_also_honors_frozen():
 
 
 def test_prompt_channel_rasterization():
-    ch = prompt_channel([BoxCoords(8, 12, 23, 31), None], 2, 16, 16, down_factor=4)
+    ch = prompt_channel([BoxCoords(8, 12, 23, 31), None], 2, 16, 16)
     assert ch.shape == (2, 1, 16, 16)
     assert ch[1].min() == 1.0  # neutral prompt is all ones
     on = np.argwhere(ch[0, 0] == 1.0)

@@ -22,7 +22,7 @@ from weakbox_kit.checkpoint import CheckpointError, load_checkpoint, save_checkp
 from weakbox_kit.config import RunConfig
 from weakbox_kit.losses import branch_loss, sc_loss
 from weakbox_kit import nets
-from weakbox_kit.nets import NetConfig, detail_refine_forward, init_params, scale_coords, single_scale_forward, two_scale_forward
+from weakbox_kit.nets import NetConfig, detail_refine_forward, init_params, init_refiner, scale_coords, single_scale_forward, two_scale_forward
 from weakbox_kit.pipeline import (
     augment_pair,
     degrade_mask,
@@ -162,7 +162,7 @@ def test_train_weak_resume_merges_refine_checkpoint(tiny_dataset_dir, tmp_path):
         return os.path.join(str(tmp_path), name)
 
     refine_ckpt = path("refine.ckpt")
-    save_checkpoint(refine_ckpt, init_params(7, net_config(cfg_for(tiny_dataset_dir))), name_filter=lambda n: n.startswith("refine."))
+    save_checkpoint(refine_ckpt, init_refiner(7))
     part = cfg_for(tiny_dataset_dir, epochs=1)  # trained without the refiner
     part.checkpoint_out = path("part.ckpt")
     train_weak(part)
@@ -258,6 +258,24 @@ def test_train_refine_zero_lr_keeps_params(tiny_dataset_dir):
     for name, t in reference.tensors.items():
         if name.startswith("refine."):
             assert np.array_equal(result.params[name].data, t.data)
+
+
+def test_refine_checkpoint_holds_only_the_refiner(tiny_dataset_dir, tmp_path):
+    # untrained, the checkpoint is the refiner of init_params, frozen, and its
+    # optimizer state has a slot for no other parameter
+    cfg = cfg_for(tiny_dataset_dir, tmp_path, phase="refine", epochs=0)
+    ck = load_checkpoint(train_refine(cfg).checkpoint_path)
+    full = init_params(cfg.seed, net_config(cfg))
+    want = {n: t.data for n, t in full.tensors.items() if n.startswith("refine.")}
+    assert sorted(ck.tensors) == sorted(want)
+    for name, arr in want.items():
+        assert np.array_equal(ck.tensors[name], arr) and ck.frozen(name)
+    want_stats = {n: a for n, a in full.stats.items() if n.startswith("refine.")}
+    assert sorted(ck.stats) == sorted(want_stats)
+    for name, arr in want_stats.items():
+        assert np.array_equal(ck.stats[name], arr)
+    slots = [n for table in (ck.optimizer_state["m"], ck.optimizer_state["v"]) for n in table]
+    assert slots and all(n.startswith("refine.") for n in slots)
 
 
 def test_train_refine_determinism_byte_identical(tiny_dataset_dir, tmp_path):
