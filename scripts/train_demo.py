@@ -12,7 +12,6 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from weakbox_kit.checkpoint import load_checkpoint
 from weakbox_kit.config import RunConfig
 from weakbox_kit.pipeline import evaluate, split_dataset, train_refine, train_weak
 from weakbox_kit.synth import DatasetSpec, generate_dataset, load_dataset, save_dataset

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 from .kvcfg import from_kv, parse_kv_file
 
-_OPTIMIZERS = ("adamw", "sgd")
 _SUPERVISION = ("mm2b", "fullbox")
 _PHASES = ("weak", "refine")
 
@@ -16,7 +15,6 @@ class RunConfig:
     epochs: int = 30
     batch_size: int = 8
     learning_rate: float = 1e-4
-    optimizer: str = "adamw"
     weight_decay: float = 0.01
     scale1: int = 64
     scale2: int = 48
@@ -48,8 +46,8 @@ class RunConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.scale1 < 8 or self.scale2 < 8:
             raise ValueError(f"scales must be >= 8, got ({self.scale1}, {self.scale2})")
         if not (0.0 < self.refine_label_fraction <= 1.0):

@@ -76,9 +76,9 @@ def _add_conv(params, rng, name, cout, cin, k, bias=True, frozen=False, zero=Fal
         params.add(f"{name}.b", np.zeros(cout, dtype=np.float32), frozen=frozen)
 
 
-def _add_bn(params, name, channels, frozen=False):
-    params.add(f"{name}.scale", np.ones(channels, dtype=np.float32), frozen=frozen)
-    params.add(f"{name}.shift", np.zeros(channels, dtype=np.float32), frozen=frozen)
+def _add_bn(params, name, channels):
+    params.add(f"{name}.scale", np.ones(channels, dtype=np.float32))
+    params.add(f"{name}.shift", np.zeros(channels, dtype=np.float32))
     params.add_stat(f"{name}.running_mean", np.zeros(channels, dtype=np.float32))
     params.add_stat(f"{name}.running_var", np.ones(channels, dtype=np.float32))
 

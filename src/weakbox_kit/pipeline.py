@@ -185,7 +185,7 @@ def _result(cfg, params, optimizer, losses):
     path = cfg.checkpoint_out
     if path:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        save_checkpoint(path, params, cfg.optimizer, optimizer.state_dict(), seed=cfg.seed, epoch=cfg.epochs)
+        save_checkpoint(path, params, optimizer.kind, optimizer.state_dict(), seed=cfg.seed, epoch=cfg.epochs)
     return TrainResult(params=params, epoch_losses=losses, checkpoint_path=path)
 
 
@@ -199,11 +199,11 @@ def train_weak(cfg: RunConfig) -> TrainResult:
     if ck is not None:
         if ck.epoch > cfg.epochs:
             raise ValueError(f"checkpoint_in is at epoch {ck.epoch}, past epochs = {cfg.epochs}; a resume cannot train fewer epochs than its checkpoint holds")
-        if ck.optimizer_kind not in ("none", cfg.optimizer):
-            raise ValueError(f"checkpoint optimizer {ck.optimizer_kind!r} != config {cfg.optimizer!r}")
     params = _model_params(ck.build_params() if ck else init_params(cfg.seed, net_config(cfg), include_refine=False), cfg)
-    optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
+    optimizer = make_optimizer(params, cfg.learning_rate, cfg.weight_decay)
     if ck is not None:
+        if ck.optimizer_kind not in ("none", optimizer.kind):
+            raise ValueError(f"checkpoint_in holds {ck.optimizer_kind!r} optimizer state; a resume needs {optimizer.kind!r} or 'none'")
         optimizer.load_state_dict(ck.optimizer_state)
 
     def batch_loss(indices, epoch):
@@ -245,7 +245,7 @@ def train_refine(cfg: RunConfig) -> TrainResult:
     train_samples = _train_split(cfg, "refine")
     labeled = refine_subset_indices(len(train_samples), cfg.refine_label_fraction, cfg.seed)
     params = init_refiner(cfg.seed)
-    optimizer = make_optimizer(cfg.optimizer, params, cfg.learning_rate, cfg.weight_decay)
+    optimizer = make_optimizer(params, cfg.learning_rate, cfg.weight_decay)
 
     def batch_loss(picks, epoch):
         images, coarse, gts = [], [], []

@@ -115,8 +115,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(value, dtype=None):
-    return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
+def as_tensor(value):
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _wrap(out_data, inputs, grad_fn):

@@ -301,6 +301,17 @@ def test_config_unknown_key_is_data_error(workspace, tmp_path):
     assert main(["train-weak", "--config", bad]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("line, key", [("optimizer = adamw", "optimizer"), ("optimizer = sgd", "optimizer"), ("weight_decay = -1", "weight_decay")])
+def test_train_weak_bad_optimizer_setting_is_data_error(workspace, tmp_path, capsys, line, key):
+    _, data_dir, _ = workspace
+    cfg = write_file(tmp_path / "bad.cfg", f"dataset_dir = {data_dir}\nepochs = 1\n{line}\n")
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["train-weak", "--config", cfg, "--out", out]) == EXIT_DATA
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_train_refine_with_checkpoint_in_is_data_error(workspace, tmp_path, capsys):
     root, _, _ = workspace
     ckpt = str(tmp_path / "init.ckpt")

@@ -31,7 +31,6 @@ def test_load_defaults(tmp_path):
     path = write_cfg(tmp_path, "epochs = 3\n")
     cfg = load_run_config(path)
     assert cfg.epochs == 3
-    assert cfg.optimizer == "adamw"
     assert cfg.learning_rate == pytest.approx(1e-4)
     assert cfg.use_sc is True
 
@@ -81,7 +80,6 @@ def test_bad_bool_rejected(tmp_path):
         "epochs = -1",
         "batch_size = 0",
         "learning_rate = -0.1",
-        "optimizer = adagrad",
         "scale1 = 4",
         "refine_label_fraction = 0",
         "holdout_fraction = 1.0",
@@ -110,4 +108,19 @@ def test_zero_learning_rate_allowed(tmp_path):
 
 def test_runconfig_direct_validation():
     with pytest.raises(ValueError):
-        RunConfig(optimizer="rmsprop").validate()
+        RunConfig(supervision="scribbles").validate()
+
+
+@pytest.mark.parametrize("value", ["adamw", "sgd"])
+def test_optimizer_key_rejected(tmp_path, value):
+    path = write_cfg(tmp_path, f"optimizer = {value}\n")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['optimizer'\]"):
+        load_run_config(path)
+
+
+def test_negative_weight_decay_rejected(tmp_path):
+    with pytest.raises(ValueError, match="weight_decay must be >= 0, got -1.0"):
+        RunConfig(weight_decay=-1.0).validate()
+    with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+        load_run_config(write_cfg(tmp_path, "weight_decay = -0.5\n"))
+    assert load_run_config(write_cfg(tmp_path, "weight_decay = 0\n")).weight_decay == 0.0
