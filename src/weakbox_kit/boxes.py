@@ -221,7 +221,7 @@ def box_coords(box_mask: MaskLike) -> BoxCoords:
     return BoxCoords(int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max()))
 
 
-def rasterize_box(coords: BoxCoords, height: int, width: int, dtype=np.float32) -> np.ndarray:
+def rasterize_box(coords: BoxCoords, height: int, width: int, dtype) -> np.ndarray:
     """Fill the inclusive coordinate box with ones on a zero grid."""
     if not (0 <= coords.row_min <= coords.row_max < height and 0 <= coords.col_min <= coords.col_max < width):
         raise ValueError(f"box {coords.as_tuple()} out of bounds for grid ({height}, {width})")

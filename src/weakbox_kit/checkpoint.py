@@ -79,9 +79,8 @@ def _pack_array(arr):
     return out + arr.tobytes()
 
 
-def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_state=None, seed=0, epoch=0):
+def save_checkpoint(path, params: ParamStore, optimizer_kind, optimizer_state, seed, epoch):
     """Serialize the whole store."""
-    optimizer_state = optimizer_state or {"step": 0, "m": {}, "v": {}}
     entries = []
     for name in params.names():
         t = params.tensors[name]
@@ -101,9 +100,9 @@ def save_checkpoint(path, params: ParamStore, optimizer_kind="none", optimizer_s
         blob += _pack_array(arr)
 
     blob += _pack_name(optimizer_kind)
-    blob += struct.pack("<Q", int(optimizer_state.get("step", 0)))
+    blob += struct.pack("<Q", int(optimizer_state["step"]))
     slots = []
-    for which, table in ((0, optimizer_state.get("m", {})), (1, optimizer_state.get("v", {}))):
+    for which, table in ((0, optimizer_state["m"]), (1, optimizer_state["v"])):
         for name in sorted(table):
             slots.append((name, which, table[name]))
     blob += struct.pack("<I", len(slots))
@@ -146,7 +145,7 @@ class Checkpoint:
             params.add_stat(name, arr)
         return params
 
-    def merge_into(self, params: ParamStore, prefix, frozen=True):
+    def merge_into(self, params: ParamStore, prefix, frozen):
         """Copy entries under `prefix` into an existing store."""
         for name, arr in self.tensors.items():
             if name.startswith(prefix):

@@ -71,13 +71,12 @@ _PATH_KEYS = ("dataset_dir", "checkpoint_in", "checkpoint_out", "refine_checkpoi
 _INPUT_PATH_KEYS = ("dataset_dir", "checkpoint_in", "refine_checkpoint")
 
 
-def load_run_config(path, overrides=None) -> RunConfig:
+def load_run_config(path, overrides) -> RunConfig:
     """Parse, apply overrides, resolve paths relative to the config file,
     reject unknown keys and non-finite numbers, and verify that referenced
     inputs exist."""
     kv = parse_kv_file(path)
-    if overrides:
-        kv.update({k: str(v) for k, v in overrides.items()})
+    kv.update({k: str(v) for k, v in overrides.items()})
     cfg = from_kv(RunConfig, kv, "config").validate()
     base = os.path.dirname(os.path.abspath(path))
     for key in _PATH_KEYS:

@@ -24,7 +24,7 @@ def _check_shapes(pred, target, op):
         raise T.ShapeError(f"{op}: prediction shape {p.shape} != target shape {t.shape}")
 
 
-def bce_loss(pred, target, clamp_eps: float = 1e-7):
+def bce_loss(pred, target, clamp_eps: float = RunConfig.clamp_eps):
     """Per-sample mean binary cross-entropy; predictions are clamped away from {0, 1}."""
     _check_shapes(pred, target, "bce_loss")
     pred = T.as_tensor(pred)
@@ -35,7 +35,7 @@ def bce_loss(pred, target, clamp_eps: float = 1e-7):
     return T.affine(T.tmean(term, axis=_HW), -1.0, 0.0)
 
 
-def dice_loss(pred, target, smooth_eps: float = 1.0):
+def dice_loss(pred, target, smooth_eps: float = RunConfig.smooth_eps):
     """Soft Dice loss: 1 - (2*intersection + eps) / (|pred| + |target| + eps)."""
     _check_shapes(pred, target, "dice_loss")
     pred = T.as_tensor(pred)
@@ -48,15 +48,14 @@ def dice_loss(pred, target, smooth_eps: float = 1.0):
     return T.affine(T.div(num, den), -1.0, 1.0)
 
 
-def branch_loss(pred_box, target_box, cfg: RunConfig | None = None):
+def branch_loss(pred_box, target_box, cfg: RunConfig):
     """Average of BCE and Dice between a transformed mask and the weak box."""
-    cfg = cfg or RunConfig()
     b = bce_loss(pred_box, target_box, cfg.clamp_eps)
     d = dice_loss(pred_box, target_box, cfg.smooth_eps)
     return T.affine(T.add(b, d), 0.5, 0.0)
 
 
-def mm2b_loss(pred_box, target_box, foreground, cfg: RunConfig | None = None):
+def mm2b_loss(pred_box, target_box, foreground, cfg: RunConfig):
     """Branch-weighted box loss.
 
     `foreground` marks, per sample, the path the box transform took (a bool
@@ -64,7 +63,6 @@ def mm2b_loss(pred_box, target_box, foreground, cfg: RunConfig | None = None):
     returns it): the branch loss is scaled by beta where it is set and by
     gamma where it is not.
     """
-    cfg = cfg or RunConfig()
     loss = branch_loss(pred_box, target_box, cfg)
     weight = np.where(foreground, cfg.beta, cfg.gamma)
     return T.mul(loss, T.Tensor(weight, dtype=loss.data.dtype))
@@ -88,9 +86,8 @@ def sc_loss(pred_a, pred_b, box: np.ndarray):
     return T.mul(T.tsum(masked, axis=_HW), T.Tensor(1.0 / total, dtype=pa.data.dtype))
 
 
-def detail_refine_loss(refined_prob, gt_mask, cfg: RunConfig | None = None):
+def detail_refine_loss(refined_prob, gt_mask, cfg: RunConfig):
     """Weighted Dice + cross-entropy against a real mask."""
-    cfg = cfg or RunConfig()
     d = dice_loss(refined_prob, gt_mask, cfg.smooth_eps)
     b = bce_loss(refined_prob, gt_mask, cfg.clamp_eps)
     return T.add(T.affine(d, cfg.lambda1, 0.0), T.affine(b, cfg.lambda2, 0.0))

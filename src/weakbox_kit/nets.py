@@ -23,9 +23,11 @@ FEATURE_STRIDE = 4  # input pixels per feature pixel: the encoder's two stride-2
 
 @dataclass(frozen=True)
 class NetConfig:
-    feat_channels: int = 16
-    scale_pair: tuple = (64, 48)
-    use_cnn_gate: bool = True
+    """The network's shape; `pipeline.net_config` builds it from a RunConfig."""
+
+    feat_channels: int
+    scale_pair: tuple
+    use_cnn_gate: bool
 
 
 class ParamStore:
@@ -83,9 +85,8 @@ def _add_bn(params, name, channels):
     params.add_stat(f"{name}.running_var", np.ones(channels, dtype=np.float32))
 
 
-def init_params(seed: int, cfg: NetConfig | None = None, include_refine: bool = True) -> ParamStore:
+def init_params(seed: int, cfg: NetConfig, include_refine: bool) -> ParamStore:
     """Build the full parameter store. The global encoder is frozen."""
-    cfg = cfg or NetConfig()
     params = init_refiner(seed) if include_refine else ParamStore()
     cin, feat = IN_CHANNELS, cfg.feat_channels
     mid = feat // 2
@@ -123,7 +124,7 @@ def init_params(seed: int, cfg: NetConfig | None = None, include_refine: bool = 
 
 
 def init_refiner(seed: int) -> ParamStore:
-    """The refiner's parameters alone, as init_params(seed) draws them."""
+    """The refiner's parameters alone, as init_params draws them."""
     params = ParamStore()
     rng = rng_from_key(seed, "refine")
     c1, c2, c3 = REFINE_CHANNELS
@@ -235,18 +236,17 @@ def encode(params, image, training, cfg: NetConfig):
     return fusion_gate(x_global, cnn_block_forward(params, image, training), params["gate.alpha_logit"])
 
 
-def single_scale_forward(params, image, prompt_coords, training, cfg: NetConfig | None = None):
+def single_scale_forward(params, image, prompt_coords, training, cfg: NetConfig):
     """Encoder(+CNN gate) features -> prompted head -> logits at input scale.
 
     prompt_coords are in the coordinate frame of `image`.
     """
-    return seg_head_forward(params, encode(params, image, training, cfg or NetConfig()), prompt_coords, training)
+    return seg_head_forward(params, encode(params, image, training, cfg), prompt_coords, training)
 
 
 @dataclass
 class TwoScaleOut:
     logits_a: T.Tensor  # at scale_pair[0]
-    logits_b: T.Tensor  # at scale_pair[1]
     prob_a: T.Tensor
     prob_b_up: T.Tensor  # prob_b resized to scale_pair[0]
     prompts: list  # per-sample box prompts in the native frame (None = neutral)
@@ -282,9 +282,11 @@ def scale_one_forward(params, images, prompt_for, training, cfg: NetConfig):
     feats = encode(params, T.bilinear_resize(images, s_a, s_a), training, cfg)
     with T.no_grad():
         neutral = T.sigmoid(seg_head_forward(params, feats, None, training)).data
-    prompts = [scale_coords(prompt_for(plane[0]), s_a, native) for plane in neutral]
-    logits = seg_head_forward(params, feats, [scale_coords(c, native, s_a) for c in prompts], training)
-    return logits, prompts
+    # the head takes the rule's boxes on its own grid: a round trip through
+    # the native grid would round them outward
+    boxes = [prompt_for(plane[0]) for plane in neutral]
+    logits = seg_head_forward(params, feats, boxes, training)
+    return logits, [scale_coords(c, s_a, native) for c in boxes]
 
 
 def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig):
@@ -298,7 +300,7 @@ def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig):
     logits_b = single_scale_forward(params, x_b, [scale_coords(c, native, s_b) for c in prompts], training, cfg)
     prob_a = T.sigmoid(logits_a)
     prob_b_up = T.sigmoid(T.bilinear_resize(logits_b, s_a, s_a))
-    return TwoScaleOut(logits_a=logits_a, logits_b=logits_b, prob_a=prob_a, prob_b_up=prob_b_up, prompts=prompts)
+    return TwoScaleOut(logits_a=logits_a, prob_a=prob_a, prob_b_up=prob_b_up, prompts=prompts)
 
 
 @dataclass

@@ -9,7 +9,7 @@ class AdamW:
     kind = "adamw"  # the optimizer tag a training checkpoint carries
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=1e-4, weight_decay=0.01):
+    def __init__(self, params, lr, weight_decay):
         self.params = params
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)

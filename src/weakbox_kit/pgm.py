@@ -57,7 +57,8 @@ def _read_header_tokens(blob: bytes, start: int, count: int):
         while j < n and not blob[j : j + 1].isspace():
             j += 1
         token = blob[i:j]
-        if not token or not token.isdigit():
+        # more than 9 digits is no plausible size, and past 4300 int() itself refuses
+        if not token or not token.isdigit() or len(token) > 9:
             raise PgmFormatError(f"malformed header token: {token[:16]!r}")
         vals.append(int(token))
         i = j

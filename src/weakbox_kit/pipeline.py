@@ -215,7 +215,7 @@ def train_weak(cfg: RunConfig) -> TrainResult:
 
 
 def degrade_mask(gt_mask, rng):
-    """Soft corrupted copy of a mask: blur, small shift, correlated noise."""
+    """Soft degraded copy of a mask: blur, small shift, correlated noise."""
     size = int(rng.integers(3, 6)) | 1  # 3 or 5
     soft = uniform_filter(gt_mask.astype(np.float64), size=size, mode="nearest")
     soft = np.roll(soft, (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))), axis=(0, 1))
@@ -320,7 +320,7 @@ def predict_batch(params, images_np, cfg, ncfg, use_refine, scale_gap=False):
         return coarse.data.copy(), None if refined is None else refined.data.copy(), prompts, gap
 
 
-def evaluate_predictions(preds, gts, sample_ids=None):
+def evaluate_predictions(preds, gts, sample_ids):
     """Metric rows for aligned prediction/GT grids.
 
     An empty prediction gets the grid diagonal as its HD95 (worst case) so
@@ -354,8 +354,9 @@ def evaluate(cfg: RunConfig, params, samples, use_refine=False, sample_ids=None)
     if use_refine and not has_refine(params):
         raise ValueError("evaluate: refine output requested but checkpoint has no refine parameters")
     # the in-box scale gap compares scale-1 maps against the native weak box
-    for s in samples:
-        _check_scale1(s.weak_box.shape, cfg.scale1)
+    boxes = [gt_box_mask(s.gt_mask) for s in samples]
+    for box in boxes:
+        _check_scale1(box.shape, cfg.scale1)
     preds, gts, gaps = [], [], []
     for lo in range(0, len(samples), cfg.batch_size):
         chunk = samples[lo : lo + cfg.batch_size]
@@ -365,7 +366,6 @@ def evaluate(cfg: RunConfig, params, samples, use_refine=False, sample_ids=None)
         for b, s in enumerate(chunk):
             preds.append(chosen[b, 0])
             gts.append(s.gt_mask)
-            box = s.weak_box
-            gaps.append(float(np.abs(pa[b, 0] - pb[b, 0])[box >= THRESHOLD].mean()))
+            gaps.append(float(np.abs(pa[b, 0] - pb[b, 0])[boxes[lo + b] >= THRESHOLD].mean()))
     rows = evaluate_predictions(preds, gts, sample_ids=sample_ids)
     return rows, mean_metrics(rows), float(np.mean(gaps))

@@ -21,7 +21,7 @@ def _fmt(value):
     return f"{value:.6f}"
 
 
-def write_metrics_report(rows, path, fmt: str = "csv") -> None:
+def write_metrics_report(rows, path, fmt: str) -> None:
     """Write rows sorted by sample_id; both formats carry identical values."""
     rows = sorted(rows, key=lambda r: r.sample_id)
     lines = []

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
-from .boxes import gt_box_mask
 from .kvcfg import format_kv, from_kv, parse_kv_file, to_kv
 from .pgm import read_pgm, write_pgm
 
@@ -41,7 +40,6 @@ def derive_seed(seed: int, index) -> int:
 class Sample:
     image: np.ndarray
     gt_mask: np.ndarray
-    weak_box: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def make_sample(spec: DatasetSpec, index: int) -> Sample:
     n = int(rng.integers(spec.n_objects_min, spec.n_objects_max + 1))
     mask = gen_blob_mask(sample_seed, spec.size, n, spec.shapes)
     image = render_image(mask, sample_seed, spec.noise)
-    return Sample(image=image, gt_mask=mask, weak_box=gt_box_mask(mask))
+    return Sample(image=image, gt_mask=mask)
 
 
 def generate_dataset(spec: DatasetSpec):
@@ -209,11 +207,11 @@ def save_dataset(samples, spec: DatasetSpec, out_dir) -> None:
 
 
 def load_dataset(data_dir):
-    """Load (spec, samples) back; weak boxes are rederived from the masks."""
+    """Load (spec, samples) back."""
     spec = from_kv(DatasetSpec, parse_kv_file(os.path.join(data_dir, "spec.cfg")), "dataset spec")
     samples = []
     for i in range(spec.count):
         image = read_pgm(os.path.join(data_dir, "images", f"{i:04d}.pgm"))
         mask = read_pgm(os.path.join(data_dir, "masks", f"{i:04d}.pgm"))
-        samples.append(Sample(image=image, gt_mask=mask, weak_box=gt_box_mask(mask)))
+        samples.append(Sample(image=image, gt_mask=mask))
     return spec, samples

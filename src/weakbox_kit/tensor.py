@@ -453,7 +453,7 @@ def _conv_geometry(h, wd, k1, k2, s, p, d):
     return oh, ow, wrap, hp, wp, oh * wp, phases, cuts, xf_is_x, taps, phase_taps
 
 
-def conv2d(x, w, bias=None, stride=1, pad=0, dilation=1):
+def conv2d(x, w, bias, stride, pad, dilation):
     """2-d cross-correlation, kernel spatial dims odd. Polyphase flat-row GEMM: the padded
     input splits into s x s phase images, each flattened to hp*wp; tap (u, v) reads phase
     ((u*d) % s, (v*d) % s) at flat offset (u*d // s)*wp + (v*d) // s, into (B, Cout, oh*wp).

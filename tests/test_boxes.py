@@ -350,7 +350,7 @@ def test_box_coords_empty_raises():
 
 def test_rasterize_box_out_of_bounds():
     with pytest.raises(ValueError):
-        rasterize_box(BoxCoords(0, 0, 4, 4), 4, 4)
+        rasterize_box(BoxCoords(0, 0, 4, 4), 4, 4, np.float32)
 
 
 def test_gt_box_mask_rectangle_is_fixed_point():

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 import weakbox_kit.checkpoint as checkpoint_module
 
 from weakbox_kit.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from weakbox_kit.nets import NetConfig, ParamStore, init_params
+from weakbox_kit.nets import ParamStore, init_params
 from weakbox_kit.optim import AdamW
+
+from helpers import NCFG, save_untrained
 
 
 def small_store():
@@ -25,7 +27,7 @@ def small_store():
 
 def test_save_load_roundtrip(tmp_path):
     store = small_store()
-    opt = AdamW(store, lr=1e-3)
+    opt = AdamW(store, lr=1e-3, weight_decay=0.01)
     # one fake step so optimizer state is non-trivial
     for _, t in store.trainable():
         t.grad = np.ones_like(t.data)
@@ -45,7 +47,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_save_load_save_byte_identical(tmp_path):
     store = small_store()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, store, "adamw", None, seed=1, epoch=2)
+    save_checkpoint(p1, store, "adamw", {"step": 0, "m": {}, "v": {}}, seed=1, epoch=2)
     ck = load_checkpoint(p1)
     save_checkpoint(p2, ck.build_params(), ck.optimizer_kind, ck.optimizer_state, seed=ck.seed, epoch=ck.epoch)
     assert p1.read_bytes() == p2.read_bytes()
@@ -54,7 +56,7 @@ def test_save_load_save_byte_identical(tmp_path):
 def test_wrong_magic_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     store = small_store()
-    save_checkpoint(path, store)
+    save_untrained(path, store)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
@@ -64,7 +66,7 @@ def test_wrong_magic_rejected(tmp_path):
 
 def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "v.ckpt"
-    save_checkpoint(path, small_store())
+    save_untrained(path, small_store())
     blob = bytearray(path.read_bytes())
     blob[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
@@ -74,7 +76,7 @@ def test_version_mismatch_rejected(tmp_path):
 
 def test_truncation_rejected(tmp_path):
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, small_store())
+    save_untrained(path, small_store())
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -85,7 +87,7 @@ def trained_blob(tmp_path):
     """The bytes of small_store's checkpoint after one AdamW step, so both
     optimizer slot tables are filled."""
     store = small_store()
-    opt = AdamW(store, lr=1e-3)
+    opt = AdamW(store, lr=1e-3, weight_decay=0.01)
     for _, t in store.trainable():
         t.grad = np.ones_like(t.data)
     opt.step()
@@ -153,24 +155,24 @@ def test_garbled_checkpoint_loads_or_raises_checkpoint_error(fuzz_dir, garble):
 
 def test_trailing_data_rejected(tmp_path):
     path = tmp_path / "x.ckpt"
-    save_checkpoint(path, small_store())
+    save_untrained(path, small_store())
     path.write_bytes(path.read_bytes() + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
 
 
 def test_merge_into_respects_prefix_and_frozen(tmp_path):
-    donor = init_params(4, NetConfig())
+    donor = init_params(4, NCFG, True)
     path = tmp_path / "r.ckpt"
-    save_checkpoint(path, donor)
-    target = init_params(5, NetConfig(), include_refine=False)
+    save_untrained(path, donor)
+    target = init_params(5, NCFG, include_refine=False)
     assert "refine.out.w" not in target.tensors
     load_checkpoint(path).merge_into(target, "refine.", frozen=True)
     assert "refine.out.w" in target.tensors
     assert not target["refine.out.w"].requires_grad
     assert np.array_equal(target["refine.out.w"].data, donor["refine.out.w"].data)
     # entries outside the prefix keep the target's own values
-    assert np.array_equal(target["head.out.w"].data, init_params(5, NetConfig())["head.out.w"].data)
+    assert np.array_equal(target["head.out.w"].data, init_params(5, NCFG, True)["head.out.w"].data)
 
 
 def test_magic_constant():
@@ -179,7 +181,7 @@ def test_magic_constant():
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "keep.ckpt"
-    save_checkpoint(path, small_store(), seed=1, epoch=1)
+    save_untrained(path, small_store(), seed=1, epoch=1)
     before = path.read_bytes()
 
     class FailingFile:
@@ -200,9 +202,9 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         return FailingFile(builtins.open(file, mode, *args, **kwargs))
 
     monkeypatch.setattr(checkpoint_module, "open", failing_open, raising=False)
-    store = init_params(2, NetConfig(), include_refine=False)
+    store = init_params(2, NCFG, include_refine=False)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, store, seed=2, epoch=2)
+        save_untrained(path, store, seed=2, epoch=2)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.ckpt"]

@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from weakbox_kit.checkpoint import save_checkpoint
 from weakbox_kit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from weakbox_kit.nets import NetConfig, init_params
+from weakbox_kit.config import RunConfig
+from weakbox_kit.nets import init_params
+from weakbox_kit.pipeline import net_config
 from weakbox_kit.pgm import read_pgm, write_pgm
 from weakbox_kit.synth import DatasetSpec, generate_dataset, save_dataset
+
+from helpers import NCFG, save_untrained
 
 
 def write_file(path, text):
@@ -140,11 +143,10 @@ def test_train_refine_then_infer_writes_refined(workspace, tmp_path):
 def test_infer_untrained_refine_is_identity(workspace, tmp_path):
     # a zero-initialized refine head leaves the written mask byte-identical
     root, data_dir, run_cfg = workspace
-    from weakbox_kit.checkpoint import save_checkpoint
     from weakbox_kit.nets import init_refiner
 
     refine_ckpt = str(tmp_path / "fresh_refine.ckpt")
-    save_checkpoint(refine_ckpt, init_refiner(5))
+    save_untrained(refine_ckpt, init_refiner(5))
 
     out_dir = str(tmp_path / "run")
     assert main(["train-weak", "--config", run_cfg, "--out", out_dir]) == EXIT_OK
@@ -185,7 +187,7 @@ def test_eval_missing_checkpoint(workspace, tmp_path):
 def test_eval_garbled_checkpoint_is_data_error(workspace, tmp_path, capsys, garble):
     _, _, run_cfg = workspace
     ckpt = tmp_path / "garbled.ckpt"
-    save_checkpoint(str(ckpt), init_params(0, NetConfig(), include_refine=False))
+    save_untrained(str(ckpt), init_params(0, NCFG, include_refine=False))
     blob = bytearray(ckpt.read_bytes())
     if garble == "truncated":
         blob = blob[: len(blob) // 2]
@@ -203,7 +205,7 @@ def test_directory_as_checkpoint_is_data_error(workspace, tmp_path, capsys, comm
     folder = tmp_path / "a_directory.ckpt"
     folder.mkdir()
     ckpt = str(tmp_path / "init.ckpt")
-    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=False))
     image = os.path.join(data_dir, "images", "0000.pgm")
     infer = ["infer", "--images", image, "--out", str(tmp_path / "infer")]
     if command == "infer":
@@ -224,7 +226,7 @@ def test_unreadable_path_is_data_error(workspace, tmp_path, capsys, path_kind):
     folder = tmp_path / "a_directory"
     folder.mkdir()
     ckpt = str(tmp_path / "init.ckpt")
-    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=False))
     out = str(tmp_path / "out")
     if path_kind == "dataset_dir_file":
         cfg = write_file(tmp_path / "file_data.cfg", f"dataset_dir = {ckpt}\nepochs = 1\n")
@@ -246,7 +248,7 @@ def test_bad_loss_weight_fails_at_config_load(workspace, tmp_path, capsys, comma
     root, data_dir, _ = workspace
     cfg = write_file(tmp_path / "bad.cfg", f"dataset_dir = {data_dir}\nepochs = 1\n{key} = {value}\n")
     ckpt = str(tmp_path / "init.ckpt")
-    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=False))
     out = str(tmp_path / "out")
     argv = {
         "train-weak": ["train-weak", "--config", cfg, "--out", out],
@@ -264,14 +266,14 @@ def test_eval_dataset_size_other_than_scale1_is_data_error(tmp_path):
     data_dir = str(tmp_path / "data48")
     save_dataset(generate_dataset(spec), spec, data_dir)
     ckpt = str(tmp_path / "init.ckpt")
-    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=False))
     run_cfg = write_file(tmp_path / "run.cfg", f"dataset_dir = {data_dir}\n")
     assert main(["eval", "--config", run_cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "e")]) == EXIT_DATA
 
 
 def test_infer_rejects_non_square_image(tmp_path, capsys):
     ckpt = str(tmp_path / "init.ckpt")
-    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=False))
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=False))
     run_cfg = write_file(tmp_path / "run.cfg", "seed = 5\n")
     image = str(tmp_path / "wide.pgm")
     write_pgm(image, np.random.default_rng(0).uniform(0, 1, (48, 40)))
@@ -285,7 +287,7 @@ def test_checkpoint_config_mismatch_is_data_error(workspace, tmp_path, capsys):
     # a feat_channels = 8 checkpoint under the default config (16)
     _, data_dir, run_cfg = workspace
     ckpt = str(tmp_path / "narrow.ckpt")
-    save_checkpoint(ckpt, init_params(0, NetConfig(feat_channels=8), include_refine=False))
+    save_untrained(ckpt, init_params(0, net_config(RunConfig(feat_channels=8)), include_refine=False))
     image = os.path.join(data_dir, "images", "0000.pgm")
     out_dir = tmp_path / "infer"
     assert main(["infer", "--config", run_cfg, "--checkpoint", ckpt, "--images", image, "--out", str(out_dir)]) == EXIT_DATA
@@ -315,7 +317,7 @@ def test_train_weak_bad_optimizer_setting_is_data_error(workspace, tmp_path, cap
 def test_train_refine_with_checkpoint_in_is_data_error(workspace, tmp_path, capsys):
     root, _, _ = workspace
     ckpt = str(tmp_path / "init.ckpt")
-    save_checkpoint(ckpt, init_params(0, NetConfig(), include_refine=True))
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=True))
     cfg = write_file(root / "refine_resume.cfg", f"dataset_dir = data\nepochs = 1\nseed = 5\ncheckpoint_in = {ckpt}\n")
     out_dir = tmp_path / "refine"
     assert main(["train-refine", "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA

@@ -29,7 +29,7 @@ def test_format_parse_roundtrip():
 
 def test_load_defaults(tmp_path):
     path = write_cfg(tmp_path, "epochs = 3\n")
-    cfg = load_run_config(path)
+    cfg = load_run_config(path, {})
     assert cfg.epochs == 3
     assert cfg.learning_rate == pytest.approx(1e-4)
     assert cfg.use_sc is True
@@ -38,21 +38,21 @@ def test_load_defaults(tmp_path):
 def test_unknown_keys_rejected(tmp_path):
     path = write_cfg(tmp_path, "epochs = 3\nwarp_speed = 9\n")
     with pytest.raises(ValueError, match="unknown config keys"):
-        load_run_config(path)
+        load_run_config(path, {})
 
 
 def test_paths_resolved_relative_to_config(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     path = write_cfg(tmp_path, "dataset_dir = data\n")
-    cfg = load_run_config(path)
+    cfg = load_run_config(path, {})
     assert cfg.dataset_dir == str(data)
 
 
 def test_missing_input_path_rejected(tmp_path):
     path = write_cfg(tmp_path, "dataset_dir = nowhere\n")
     with pytest.raises(FileNotFoundError, match="dataset_dir"):
-        load_run_config(path)
+        load_run_config(path, {})
 
 
 def test_overrides_applied(tmp_path):
@@ -63,14 +63,14 @@ def test_overrides_applied(tmp_path):
 
 def test_bool_parsing(tmp_path):
     path = write_cfg(tmp_path, "use_sc = false\nuse_cnn_gate = TRUE\naugment = 0\n")
-    cfg = load_run_config(path)
+    cfg = load_run_config(path, {})
     assert cfg.use_sc is False and cfg.use_cnn_gate is True and cfg.augment is False
 
 
 def test_bad_bool_rejected(tmp_path):
     path = write_cfg(tmp_path, "use_sc = maybe\n")
     with pytest.raises(ValueError, match="boolean"):
-        load_run_config(path)
+        load_run_config(path, {})
 
 
 @pytest.mark.parametrize(
@@ -90,7 +90,7 @@ def test_bad_bool_rejected(tmp_path):
 def test_validation_rejects(tmp_path, line):
     path = write_cfg(tmp_path, line + "\n")
     with pytest.raises(ValueError):
-        load_run_config(path)
+        load_run_config(path, {})
 
 
 @pytest.mark.parametrize("key", ["learning_rate", "beta", "smooth_eps", "weight_decay"])
@@ -98,12 +98,12 @@ def test_validation_rejects(tmp_path, line):
 def test_non_finite_values_rejected(tmp_path, key, raw):
     path = write_cfg(tmp_path, f"{key} = {raw}\n")
     with pytest.raises(ValueError, match=f"^{key}: expected a finite number"):
-        load_run_config(path)
+        load_run_config(path, {})
 
 
 def test_zero_learning_rate_allowed(tmp_path):
     path = write_cfg(tmp_path, "learning_rate = 0\n")
-    assert load_run_config(path).learning_rate == 0.0
+    assert load_run_config(path, {}).learning_rate == 0.0
 
 
 def test_runconfig_direct_validation():
@@ -115,12 +115,12 @@ def test_runconfig_direct_validation():
 def test_optimizer_key_rejected(tmp_path, value):
     path = write_cfg(tmp_path, f"optimizer = {value}\n")
     with pytest.raises(ValueError, match=r"unknown config keys: \['optimizer'\]"):
-        load_run_config(path)
+        load_run_config(path, {})
 
 
 def test_negative_weight_decay_rejected(tmp_path):
     with pytest.raises(ValueError, match="weight_decay must be >= 0, got -1.0"):
         RunConfig(weight_decay=-1.0).validate()
     with pytest.raises(ValueError, match="weight_decay must be >= 0"):
-        load_run_config(write_cfg(tmp_path, "weight_decay = -0.5\n"))
-    assert load_run_config(write_cfg(tmp_path, "weight_decay = 0\n")).weight_decay == 0.0
+        load_run_config(write_cfg(tmp_path, "weight_decay = -0.5\n"), {})
+    assert load_run_config(write_cfg(tmp_path, "weight_decay = 0\n"), {}).weight_decay == 0.0

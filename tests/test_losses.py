@@ -76,21 +76,21 @@ def test_branch_loss_is_mean_of_bce_and_dice():
     target = (rng.uniform(0, 1, (6, 6)) > 0.5).astype(np.float32)
     b = bce_loss(T.as_tensor(pred), target).item()
     d = dice_loss(T.as_tensor(pred), target).item()
-    combined = branch_loss(T.as_tensor(pred), target).item()
+    combined = branch_loss(T.as_tensor(pred), target, RunConfig()).item()
     assert abs(combined - (b + d) / 2) < 1e-6
 
 
 def test_branch_loss_perfect_box():
     box = np.zeros((5, 5), dtype=np.float32)
     box[1:4, 1:4] = 1.0
-    assert branch_loss(T.as_tensor(box), box).item() < 1e-3
+    assert branch_loss(T.as_tensor(box), box, RunConfig()).item() < 1e-3
 
 
 def test_mm2b_loss_weights_by_branch():
     box = np.zeros((6, 6), dtype=np.float32)
     box[1:5, 1:5] = 1.0
     pred = np.clip(box * 0.9 + 0.05, 0, 1).astype(np.float32)
-    base = branch_loss(T.as_tensor(pred), box).item()
+    base = branch_loss(T.as_tensor(pred), box, RunConfig()).item()
     cfg = RunConfig(beta=2.0, gamma=0.5)
     assert abs(mm2b_loss(T.as_tensor(pred), box, True, cfg).item() - 2.0 * base) < 1e-6
     assert abs(mm2b_loss(T.as_tensor(pred), box, False, cfg).item() - 0.5 * base) < 1e-6
@@ -119,8 +119,8 @@ def _per_plane(loss, *arrays):
     [
         lambda p, y: bce_loss(T.as_tensor(p), y),
         lambda p, y: dice_loss(T.as_tensor(p), y),
-        lambda p, y: branch_loss(T.as_tensor(p), y),
-        lambda p, y: detail_refine_loss(T.as_tensor(p), y),
+        lambda p, y: branch_loss(T.as_tensor(p), y, RunConfig()),
+        lambda p, y: detail_refine_loss(T.as_tensor(p), y, RunConfig()),
         lambda p, y: sc_loss(T.as_tensor(p), T.as_tensor(np.flip(p, -1)), y),
     ],
     ids=["bce", "dice", "branch", "detail_refine", "sc"],
@@ -174,7 +174,7 @@ def test_sc_loss_empty_box_raises():
 def test_detail_refine_perfect():
     m = np.zeros((5, 5), dtype=np.float32)
     m[1:4, 1:4] = 1.0
-    assert detail_refine_loss(T.as_tensor(m), m).item() < 1e-3
+    assert detail_refine_loss(T.as_tensor(m), m, RunConfig()).item() < 1e-3
 
 
 def test_detail_refine_weighted_mix():
@@ -217,7 +217,7 @@ def test_property_losses_nonnegative(seed):
     target = (rng.uniform(0, 1, (5, 5)) > 0.5).astype(np.float32)
     assert bce_loss(T.as_tensor(pred), target).item() >= 0.0
     assert dice_loss(T.as_tensor(pred), target).item() >= 0.0
-    assert branch_loss(T.as_tensor(pred), target).item() >= 0.0
+    assert branch_loss(T.as_tensor(pred), target, RunConfig()).item() >= 0.0
 
 
 @given(st.integers(0, 10_000))

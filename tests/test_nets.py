@@ -3,25 +3,30 @@ import pytest
 
 from weakbox_kit import tensor as T
 from weakbox_kit.boxes import BoxCoords
+from weakbox_kit.config import RunConfig
 from weakbox_kit.nets import (
-    NetConfig,
     cnn_block_forward,
     detail_refine_forward,
+    encode,
     fusion_gate,
     global_encoder_forward,
     init_params,
     prompt_channel,
     scale_coords,
+    scale_one_forward,
     seg_head_forward,
     single_scale_forward,
     two_scale_forward,
 )
 from weakbox_kit.optim import AdamW
+from weakbox_kit.pipeline import net_config
+
+from helpers import NCFG
 
 
 @pytest.fixture(scope="module")
 def params():
-    return init_params(0, NetConfig())
+    return init_params(0, NCFG, True)
 
 
 def _image(seed, batch=2, size=64):
@@ -75,7 +80,7 @@ def test_cnn_block_deterministic(params):
 
 
 def test_cnn_block_zero_input_zero_output():
-    p = init_params(7, NetConfig())
+    p = init_params(7, NCFG, True)
     x = T.Tensor(np.zeros((1, 1, 64, 64), dtype=np.float32))
     out = cnn_block_forward(p, x, training=True)
     assert np.abs(out.data).max() == 0.0
@@ -94,7 +99,7 @@ def test_encoder_frozen_flags(params):
 
 
 def test_encoder_zero_weights_zero_features():
-    p = init_params(8, NetConfig())
+    p = init_params(8, NCFG, True)
     for name, t in p.tensors.items():
         if name.startswith("encoder."):
             t.data[...] = 0.0
@@ -103,9 +108,9 @@ def test_encoder_zero_weights_zero_features():
 
 
 def test_frozen_params_survive_optimizer_steps():
-    p = init_params(9, NetConfig())
+    p = init_params(9, NCFG, True)
     before = {n: t.data.copy() for n, t in p.tensors.items() if not t.requires_grad}
-    opt = AdamW(p, lr=0.05)
+    opt = AdamW(p, lr=0.05, weight_decay=0.01)
     x = _image(7, batch=1)
     for _ in range(3):
         out = cnn_block_forward(p, x, training=True)
@@ -148,11 +153,9 @@ def test_seg_head_prompt_changes_output(params):
 
 def test_two_scale_forward_shapes_and_determinism(params):
     img = _image(13)
-    cfg = NetConfig()
-    out1 = two_scale_forward(params, img, lambda plane: None, training=False, cfg=cfg)
-    out2 = two_scale_forward(params, img, lambda plane: None, training=False, cfg=cfg)
+    out1 = two_scale_forward(params, img, lambda plane: None, training=False, cfg=NCFG)
+    out2 = two_scale_forward(params, img, lambda plane: None, training=False, cfg=NCFG)
     assert out1.logits_a.data.shape == (2, 1, 64, 64)
-    assert out1.logits_b.data.shape == (2, 1, 48, 48)
     assert out1.prob_b_up.data.shape == (2, 1, 64, 64)
     assert out1.prompts == [None, None]
     assert np.array_equal(out1.prob_a.data, out2.prob_a.data)
@@ -162,7 +165,7 @@ def test_two_scale_forward_shapes_and_determinism(params):
     # logits are bit-identical to a fresh single-scale forward on the
     # resized input with the same prompts, with and without the gate
     small = _image(23, size=48)
-    for ncfg in (cfg, NetConfig(use_cnn_gate=False)):
+    for ncfg in (NCFG, net_config(RunConfig(use_cnn_gate=False))):
         planes = []
 
         def prompt_for(plane):
@@ -172,9 +175,21 @@ def test_two_scale_forward_shapes_and_determinism(params):
         out = two_scale_forward(params, small, prompt_for, training=False, cfg=ncfg)
         assert planes == [(64, 64), (64, 64)]
         assert out.prompts == [scale_coords(BoxCoords(5, 9, 40 + k, 50), 64, 48) for k in (1, 2)]
-        coords_a = [scale_coords(c, 48, 64) for c in out.prompts]
+        coords_a = [BoxCoords(5, 9, 40 + k, 50) for k in (1, 2)]
         ref = single_scale_forward(params, T.bilinear_resize(small, 64, 64), coords_a, False, ncfg)
         assert np.array_equal(out.logits_a.data, ref.data)
+
+
+@pytest.mark.parametrize("native", [48, 96])
+def test_scale_one_head_takes_the_rules_own_box(params, native):
+    # rows and columns 0-3 are one feature cell on the 64 grid; a round trip
+    # through a 48 or 96 grid would widen the box to a second cell
+    box = BoxCoords(0, 0, 3, 3)
+    img = _image(24, batch=1, size=native)
+    logits, prompts = scale_one_forward(params, img, lambda plane: box, False, NCFG)
+    ref = seg_head_forward(params, encode(params, T.bilinear_resize(img, 64, 64), False, NCFG), [box], False)
+    assert np.array_equal(logits.data, ref.data)
+    assert prompts == [scale_coords(box, 64, native)]
 
 
 def test_refine_identity_at_init(params):
@@ -187,7 +202,7 @@ def test_refine_identity_at_init(params):
 
 
 def test_refine_residual_decomposition_exact():
-    p = init_params(16, NetConfig())
+    p = init_params(16, NCFG, True)
     for t in (p["refine.out.w"], p["refine.out.b"]):
         t.data[...] = np.random.default_rng(17).normal(0, 0.1, t.data.shape).astype(np.float32)
     img = _image(18)
@@ -205,9 +220,9 @@ def test_refine_output_geometry(params):
 
 
 def test_end_to_end_gradient_reaches_every_unfrozen_param():
-    p = init_params(21, NetConfig(), include_refine=False)
+    p = init_params(21, NCFG, include_refine=False)
     img = _image(22, batch=2)
-    out = single_scale_forward(p, img, None, training=True)
+    out = single_scale_forward(p, img, None, True, NCFG)
     p.zero_grad()
     T.backward(T.tmean(T.sigmoid(out)))
     for name, t in p.trainable():

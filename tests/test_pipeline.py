@@ -15,6 +15,7 @@ from weakbox_kit.boxes import (
     center_status,
     decide_branch,
     decide_branches,
+    gt_box_mask,
     mask_to_box,
     project,
 )
@@ -22,7 +23,7 @@ from weakbox_kit.checkpoint import CheckpointError, load_checkpoint, save_checkp
 from weakbox_kit.config import RunConfig
 from weakbox_kit.losses import branch_loss, sc_loss
 from weakbox_kit import nets
-from weakbox_kit.nets import NetConfig, detail_refine_forward, init_params, init_refiner, scale_coords, single_scale_forward, two_scale_forward
+from weakbox_kit.nets import detail_refine_forward, init_params, init_refiner, scale_coords, single_scale_forward, two_scale_forward
 from weakbox_kit.pipeline import (
     augment_pair,
     degrade_mask,
@@ -40,6 +41,8 @@ from weakbox_kit.pipeline import (
     weak_loss,
 )
 from weakbox_kit.synth import DatasetSpec, generate_dataset, load_dataset, rng_from_key
+
+from helpers import NCFG, save_untrained
 
 
 def cfg_for(dataset_dir, tmp_path=None, **kw):
@@ -141,7 +144,7 @@ def test_train_weak_resume_bit_exact(tiny_dataset_dir, tmp_path):
 def test_train_weak_rejects_resume_past_epochs(tiny_dataset_dir, tmp_path):
     cfg = cfg_for(tiny_dataset_dir, tmp_path, epochs=1)
     cfg.checkpoint_in = os.path.join(str(tmp_path), "two_epochs.ckpt")
-    save_checkpoint(cfg.checkpoint_in, init_params(cfg.seed, net_config(cfg), include_refine=False), "adamw", epoch=2)
+    save_checkpoint(cfg.checkpoint_in, init_params(cfg.seed, net_config(cfg), include_refine=False), "adamw", {"step": 0, "m": {}, "v": {}}, 0, 2)
     with pytest.raises(ValueError, match="epoch 2, past epochs = 1"):
         train_weak(cfg)
     assert not os.path.exists(cfg.checkpoint_out)
@@ -153,7 +156,7 @@ def test_train_weak_rejects_resume_past_epochs(tiny_dataset_dir, tmp_path):
 def test_train_weak_resume_checks_config(tiny_dataset_dir, tmp_path):
     cfg = cfg_for(tiny_dataset_dir, tmp_path, epochs=1)
     cfg.checkpoint_in = os.path.join(str(tmp_path), "wide.ckpt")
-    save_checkpoint(cfg.checkpoint_in, init_params(0, NetConfig(feat_channels=cfg.feat_channels + 2), include_refine=False))
+    save_untrained(cfg.checkpoint_in, init_params(0, net_config(RunConfig(feat_channels=cfg.feat_channels + 2)), include_refine=False))
     with pytest.raises(CheckpointError, match="does not match the config"):
         train_weak(cfg)
 
@@ -179,7 +182,7 @@ def test_train_weak_resume_merges_refine_checkpoint(tiny_dataset_dir, tmp_path):
         return os.path.join(str(tmp_path), name)
 
     refine_ckpt = path("refine.ckpt")
-    save_checkpoint(refine_ckpt, init_refiner(7))
+    save_untrained(refine_ckpt, init_refiner(7))
     part = cfg_for(tiny_dataset_dir, epochs=1)  # trained without the refiner
     part.checkpoint_out = path("part.ckpt")
     train_weak(part)
@@ -200,7 +203,7 @@ def test_train_weak_resume_merges_refine_checkpoint(tiny_dataset_dir, tmp_path):
 def test_train_weak_rejects_refine_checkpoint_without_refiner(tiny_dataset_dir, tmp_path, resume):
     # a weak checkpoint given as the refiner is an error, not a model without one
     weak_ckpt = os.path.join(str(tmp_path), "weak.ckpt")
-    save_checkpoint(weak_ckpt, init_params(3, net_config(cfg_for(tiny_dataset_dir)), include_refine=False), "adamw")
+    save_checkpoint(weak_ckpt, init_params(3, net_config(cfg_for(tiny_dataset_dir)), include_refine=False), "adamw", {"step": 0, "m": {}, "v": {}}, 0, 0)
     cfg = cfg_for(tiny_dataset_dir, tmp_path, epochs=1, refine_checkpoint=weak_ckpt, checkpoint_in=weak_ckpt if resume else "")
     with pytest.raises(CheckpointError, match=re.escape(f"refine_checkpoint {weak_ckpt} holds no refine")):
         train_weak(cfg)
@@ -266,7 +269,7 @@ def test_refine_checkpoint_holds_only_the_refiner(tiny_dataset_dir, tmp_path):
     # optimizer state has a slot for no other parameter
     cfg = cfg_for(tiny_dataset_dir, tmp_path, phase="refine", epochs=0)
     ck = load_checkpoint(train_refine(cfg).checkpoint_path)
-    full = init_params(cfg.seed, net_config(cfg))
+    full = init_params(cfg.seed, net_config(cfg), True)
     want = {n: t.data for n, t in full.tensors.items() if n.startswith("refine.")}
     assert sorted(ck.tensors) == sorted(want)
     for name, arr in want.items():
@@ -320,7 +323,7 @@ def test_degrade_mask_stays_soft():
 
 def test_evaluate_gt_against_itself(tiny_dataset_dir):
     _, samples = load_dataset(tiny_dataset_dir)
-    rows = evaluate_predictions([s.gt_mask for s in samples], [s.gt_mask for s in samples])
+    rows = evaluate_predictions([s.gt_mask for s in samples], [s.gt_mask for s in samples], None)
     assert len(rows) == len(samples)
     for r in rows:
         assert r.dsc == 1.0 and r.miou == 1.0 and r.hd95 == 0.0
@@ -369,7 +372,7 @@ def test_predict_batch_rescales_prompt_to_native_grid():
     image = generate_dataset(DatasetSpec(count=1, size=48, seed=5))[0].image[None, None].astype(np.float32)
     _, _, prompts, _ = predict_batch(params, image, cfg, ncfg, use_refine=False)
     with T.no_grad():
-        neutral = T.sigmoid(single_scale_forward(params, T.bilinear_resize(T.Tensor(image), 64, 64), None, False))
+        neutral = T.sigmoid(single_scale_forward(params, T.bilinear_resize(T.Tensor(image), 64, 64), None, False, ncfg))
     box_64 = prompt_from_probability(neutral.data[0, 0])
     assert box_64 is not None and box_64 != BoxCoords(0, 0, 63, 63)
     p = prompts[0]
@@ -455,7 +458,7 @@ def test_predict_batch_rejects_non_square_image():
 def _model_with_refiner(seed):
     """An init model whose refiner output conv is drawn, so the refined map
     differs from the coarse one."""
-    params = init_params(seed, NetConfig(), include_refine=True)
+    params = init_params(seed, NCFG, include_refine=True)
     rng = np.random.default_rng(seed)
     for name in ("refine.out.w", "refine.out.b"):
         params[name].data[...] = rng.normal(0, 0.1, params[name].data.shape)
@@ -518,7 +521,7 @@ def test_evaluate_matches_two_scale_recomputation(use_refine):
         coarse, refined, _, (pa, pb) = _two_scale_predict(params, np.stack([s.image[None] for s in chunk]).astype(np.float32), cfg, use_refine)
         for b, s in enumerate(chunk):
             preds.append((refined if use_refine else coarse)[b, 0])
-            gaps.append(float(np.abs(pa[b, 0] - pb[b, 0])[s.weak_box >= 0.5].mean()))
+            gaps.append(float(np.abs(pa[b, 0] - pb[b, 0])[gt_box_mask(s.gt_mask) >= 0.5].mean()))
     want_rows = evaluate_predictions(preds, [s.gt_mask for s in samples], sample_ids=list(range(10, 20)))
     rows, means, gap = evaluate(cfg, params, samples, use_refine=use_refine, sample_ids=list(range(10, 20)))
     assert rows == want_rows
@@ -545,7 +548,7 @@ def test_gt_pixels_beyond_box_never_influence_weak_loss(tiny_dataset_dir):
 
     sample = samples[0]
     coords = box_coords(sample.gt_mask)
-    boxed = rasterize_box(coords, *sample.gt_mask.shape)
+    boxed = rasterize_box(coords, *sample.gt_mask.shape, np.float32)
     assert not np.array_equal(boxed, sample.gt_mask)
 
     class Stub:

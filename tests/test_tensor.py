@@ -9,21 +9,21 @@ from weakbox_kit import tensor as T
 def test_conv2d_identity_kernel():
     x = T.Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 1, 4, 4)).astype(np.float32))
     k = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-    out = T.conv2d(x, k)
+    out = T.conv2d(x, k, None, 1, 0, 1)
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv2d_zero_kernel():
     x = T.Tensor(np.random.default_rng(1).uniform(-1, 1, (2, 3, 5, 5)).astype(np.float32))
     k = T.Tensor(np.zeros((4, 3, 3, 3), dtype=np.float32))
-    out = T.conv2d(x, k, pad=1)
+    out = T.conv2d(x, k, None, 1, 1, 1)
     assert not out.data.any()
 
 
 def test_conv2d_ones_kernel_counts_taps():
     x = T.Tensor(np.ones((1, 1, 5, 5), dtype=np.float32))
     k = T.Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-    out = T.conv2d(x, k, stride=1, pad=1)
+    out = T.conv2d(x, k, None, 1, 1, 1)
     assert out.data[0, 0, 2, 2] == 9.0
     assert out.data[0, 0, 0, 0] == 4.0
     assert out.data[0, 0, 0, 2] == 6.0
@@ -33,14 +33,14 @@ def test_conv2d_rejects_even_kernel():
     x = T.Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
     k = T.Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
     with pytest.raises(T.ShapeError, match="odd"):
-        T.conv2d(x, k)
+        T.conv2d(x, k, None, 1, 0, 1)
 
 
 def test_conv2d_rejects_channel_mismatch():
     x = T.Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
     k = T.Tensor(np.zeros((1, 3, 3, 3), dtype=np.float32))
     with pytest.raises(T.ShapeError) as err:
-        T.conv2d(x, k)
+        T.conv2d(x, k, None, 1, 0, 1)
     assert "(1, 2, 4, 4)" in str(err.value) and "(1, 3, 3, 3)" in str(err.value)
 
 
