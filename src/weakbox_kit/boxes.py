@@ -194,22 +194,26 @@ def decide_branches(masks: np.ndarray):
 def batch_mask_to_box(masks: T.Tensor):
     """Box supervision masks for an (N, H, W) stack in one pass.
 
-    Both branch transforms run on the whole stack from one projection; a
-    per-sample {0, 1} selector keeps the min back-projection for foreground
-    (and empty) samples and the clamped cross-band union minus the gap for
-    background ones. Returns the (N, H, W) box Tensor and the (N,) foreground
-    mark from `decide_branches`.
+    Both branches come from one max back-projection, through
+    min(p, q) = -max(-p, -q): each plane's profiles are multiplied by -1 on
+    the foreground (and empty) path and by +1 on the background one, and the
+    back-projection by the same sign, so foreground planes get the min
+    back-projection and background planes the cross-band union. The gap
+    (zero on foreground planes) is then subtracted and every plane clamped to
+    [0, 1], which leaves foreground planes of a mask in [0, 1] unchanged.
+    Returns the (N, H, W) box Tensor and the (N,) foreground mark from
+    `decide_branches`.
     """
     if masks.data.ndim != 3:
         raise T.ShapeError(f"batch_mask_to_box expects an (N, H, W) stack, got shape {masks.data.shape}")
     foreground, gaps = decide_branches(masks.data)
     dt = masks.data.dtype
-    proj = project(masks)
-    box_fg = backproject_min(proj)
-    box_bg = T.clamp(T.sub(backproject_max(proj), T.Tensor(gaps, dtype=dt)), 0.0, 1.0)
-    keep = foreground.astype(dt)[:, None, None]
-    box = T.add(T.mul(box_fg, T.Tensor(keep, dtype=dt)), T.mul(box_bg, T.Tensor(1.0 - keep, dtype=dt)))
-    return box, foreground
+    sign = np.where(foreground, -1.0, 1.0).astype(dt)
+    width, height = project(masks)
+    flip = T.Tensor(sign[:, None], dtype=dt)
+    cross = backproject_max(Projection(T.mul(width, flip), T.mul(height, flip)))
+    box = T.sub(T.mul(cross, T.Tensor(sign[:, None, None], dtype=dt)), T.Tensor(gaps, dtype=dt))
+    return T.clamp(box, 0.0, 1.0), foreground
 
 
 def box_coords(box_mask: MaskLike) -> BoxCoords:

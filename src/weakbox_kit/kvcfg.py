@@ -24,8 +24,14 @@ def parse_kv_text(text: str) -> dict:
 
 
 def parse_kv_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_kv_text(f.read())
+    """The table in `path`; an error names the file and keeps its class."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse_kv_text(f.read())
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} in {path}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_kv(mapping: dict) -> str:

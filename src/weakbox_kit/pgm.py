@@ -66,8 +66,16 @@ def _read_header_tokens(blob: bytes, start: int, count: int):
 
 
 def read_pgm(path) -> np.ndarray:
+    """The grid stored at `path`; a format error names the file and keeps its class."""
     with open(path, "rb") as f:
         blob = f.read()
+    try:
+        return _decode(blob)
+    except PgmError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decode(blob: bytes) -> np.ndarray:
     if blob[:2] != b"P5":
         raise PgmFormatError(f"not a binary PGM (P5), magic is {blob[:2]!r}")
     (w, h, maxval), i = _read_header_tokens(blob, 2, 3)

@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from . import tensor as T
 from .boxes import THRESHOLD, BoxCoords, Center, EmptyMaskError, batch_mask_to_box, box_coords, center_status, gt_box_mask
@@ -30,7 +29,7 @@ from .nets import NetConfig, detail_refine_forward, init_params, init_refiner, s
 from .nets import single_scale_forward  # noqa: F401  perfbench/tracing.py patches this name here
 from .optim import make_optimizer
 from .reports import FIELDS, MetricsRow
-from .synth import load_dataset, rng_from_key
+from .synth import load_dataset, mean_filter, rng_from_key
 
 
 class NumericError(RuntimeError):
@@ -129,12 +128,20 @@ def _augmented(sample, cfg, stream, epoch, idx):
     return augment_pair(sample.image, sample.gt_mask, rng_from_key(cfg.seed, stream, epoch, int(idx)))
 
 
+def _weak_box(mask, idx):
+    """gt_box_mask of dataset sample `idx`; an empty mask is named by its file."""
+    try:
+        return gt_box_mask(mask)
+    except EmptyMaskError as exc:
+        raise EmptyMaskError(f"sample {idx} (masks/{idx:04d}.pgm): {exc}") from None
+
+
 def _batch_arrays(samples, indices, cfg, epoch):
     images, weaks = [], []
     for idx in indices:
         image, mask = _augmented(samples[idx], cfg, "aug", epoch, idx)
         # the weak path only ever sees the tight box of the mask
-        weak = gt_box_mask(mask)
+        weak = _weak_box(mask, idx)
         _check_scale1(weak.shape, cfg.scale1)
         images.append(image[None])
         weaks.append(weak.astype(np.float32))
@@ -217,9 +224,9 @@ def train_weak(cfg: RunConfig) -> TrainResult:
 def degrade_mask(gt_mask, rng):
     """Soft degraded copy of a mask: blur, small shift, correlated noise."""
     size = int(rng.integers(3, 6)) | 1  # 3 or 5
-    soft = uniform_filter(gt_mask.astype(np.float64), size=size, mode="nearest")
+    soft = mean_filter(gt_mask, size)
     soft = np.roll(soft, (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))), axis=(0, 1))
-    noise = uniform_filter(rng.uniform(-1.0, 1.0, gt_mask.shape), size=3, mode="nearest") * 0.35
+    noise = mean_filter(rng.uniform(-1.0, 1.0, gt_mask.shape), 3) * 0.35
     return np.clip(soft + noise, 0.02, 0.98).astype(np.float32)
 
 
@@ -354,7 +361,8 @@ def evaluate(cfg: RunConfig, params, samples, use_refine=False, sample_ids=None)
     if use_refine and not has_refine(params):
         raise ValueError("evaluate: refine output requested but checkpoint has no refine parameters")
     # the in-box scale gap compares scale-1 maps against the native weak box
-    boxes = [gt_box_mask(s.gt_mask) for s in samples]
+    ids = range(len(samples)) if sample_ids is None else sample_ids
+    boxes = [_weak_box(s.gt_mask, sid) for s, sid in zip(samples, ids)]
     for box in boxes:
         _check_scale1(box.shape, cfg.scale1)
     preds, gts, gaps = [], [], []

@@ -2,7 +2,7 @@
 
 Masks are unions of randomized soft ellipse fields thresholded to binary
 (single objects may also be fused ellipse pairs or annuli); images are
-two-level intensities plus smoothed uniform noise. All randomness flows
+two-level intensities plus uniform noise smoothed by `mean_filter`. All randomness flows
 through counter-based generators keyed by (seed, stream, index), so a
 dataset regenerates byte-identically from its spec.
 """
@@ -12,10 +12,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
-from scipy.spatial import cKDTree
 
 from .kvcfg import format_kv, from_kv, parse_kv_file, to_kv
+from .metrics import nearest_distances
 from .pgm import read_pgm, write_pgm
 
 SHAPE_FAMILIES = ("ellipse", "fused", "annulus")
@@ -119,10 +118,7 @@ def _multi_object_centers(rng, size, n):
 
 
 def _min_point_distance(mask_a, mask_b):
-    pts_a = np.argwhere(mask_a)
-    pts_b = np.argwhere(mask_b)
-    d, _ = cKDTree(pts_b).query(pts_a, k=1)
-    return float(d.min())
+    return float(nearest_distances(mask_a, mask_b).min())
 
 
 def gen_blob_mask(seed: int, size: int, n_objects: int, shapes=SHAPE_FAMILIES) -> np.ndarray:
@@ -166,6 +162,30 @@ def gen_blob_mask(seed: int, size: int, n_objects: int, shapes=SHAPE_FAMILIES) -
     raise RuntimeError(f"gen_blob_mask: constraints unsatisfiable after {_MAX_RETRIES} retries (seed={seed}, size={size}, n_objects={n_objects})")
 
 
+def _running_mean(x, size):
+    """Mean over a `size`-row window along axis 0, edge rows repeated. The
+    window sum is the first window added in order, then advanced by
+    (entering row - leaving row), and divided by `size`."""
+    half = size // 2
+    padded = np.concatenate([x[:1]] * half + [x] + [x[-1:]] * half)
+    out = np.empty_like(x)
+    out[0] = 0.0 + padded[0]
+    for k in range(1, size):
+        out[0] += padded[k]
+    np.subtract(padded[size:], padded[: len(x) - 1], out=out[1:])
+    np.cumsum(out, axis=0, out=out)
+    out /= size
+    return out
+
+
+def mean_filter(x: np.ndarray, size: int) -> np.ndarray:
+    """`size` x `size` mean of a 2-d grid with edge pixels repeated, in
+    float64; bit for bit `scipy.ndimage.uniform_filter(x, size,
+    mode="nearest")`, which runs the same arithmetic along axis 0, then 1."""
+    down = _running_mean(np.asarray(x, dtype=np.float64), size)
+    return _running_mean(np.ascontiguousarray(down.T), size).T
+
+
 def render_image(mask: np.ndarray, seed: int, noise: float) -> np.ndarray:
     """Two-level intensities (fg 0.7 / bg 0.3) plus smoothed uniform noise."""
     if not (0.0 <= noise <= 0.5):
@@ -176,7 +196,7 @@ def render_image(mask: np.ndarray, seed: int, noise: float) -> np.ndarray:
         return base.astype(np.float32)
     rng = rng_from_key(seed, "image")
     raw = rng.uniform(-noise, noise, size=mask.shape)
-    smooth = uniform_filter(raw, size=3, mode="nearest")
+    smooth = mean_filter(raw, 3)
     return np.clip(base + smooth, 0.0, 1.0).astype(np.float32)
 
 

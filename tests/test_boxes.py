@@ -309,6 +309,40 @@ def test_batch_mask_to_box_matches_mask_to_box_per_plane():
         assert np.array_equal(box.data[b], want), b
 
 
+def test_batch_mask_to_box_equals_two_branch_blend():
+    # the one signed max back-projection gives the values and the gradients of
+    # both branch transforms blended by the foreground mark
+    rng = np.random.default_rng(9)
+    two_blobs = np.zeros((12, 12), dtype=np.float32)
+    two_blobs[0:3, 0:3] = 1.0
+    two_blobs[8:12, 8:12] = 1.0
+    ring = np.zeros((12, 12), dtype=np.float32)
+    ring[2:10, 2:10] = 1.0
+    ring[4:8, 4:8] = 0.0
+    planes = [two_blobs, ring, rng.uniform(0.0, 0.4, (12, 12))] + [(rng.uniform(0, 1, (12, 12)) < d) for d in (0.05, 0.2, 0.5)]
+    stack = (np.stack(planes) * rng.uniform(0.3, 1.0, (6, 12, 12))).astype(np.float32)
+    stack[0, 0, 0] = 1.0  # a tie between the row and the column profile
+    weights = rng.normal(size=stack.shape).astype(np.float32)
+
+    def blend(masks):
+        foreground, gaps = decide_branches(masks.data)
+        proj = project(masks)
+        keep = foreground.astype(np.float32)[:, None, None]
+        box_bg = T.clamp(T.sub(backproject_max(proj), T.Tensor(gaps)), 0.0, 1.0)
+        return T.add(T.mul(backproject_min(proj), T.Tensor(keep)), T.mul(box_bg, T.Tensor(1.0 - keep)))
+
+    results = []
+    for transform in (lambda m: batch_mask_to_box(m)[0], blend):
+        masks = T.Tensor(stack, requires_grad=True)
+        box = transform(masks)
+        T.backward(T.tsum(T.mul(box, T.Tensor(weights))))
+        results.append((box.data, masks.grad))
+    (box, grad), (want_box, want_grad) = results
+    assert np.array_equal(box, want_box)
+    assert np.array_equal(grad, want_grad)
+    assert batch_mask_to_box(T.Tensor(stack))[1].tolist()[:3] == [False, False, True]
+
+
 def test_project_stack_is_per_plane():
     stack = np.random.default_rng(7).uniform(0, 1, (3, 5, 4)).astype(np.float32)
     pw, ph = project(T.Tensor(stack))

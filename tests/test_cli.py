@@ -71,6 +71,40 @@ def test_mm2b_rejects_empty_mask(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("bad_file", ["truncated_pgm", "non_utf8_config"])
+def test_bad_file_error_names_the_file(workspace, tmp_path, capsys, bad_file):
+    _, _, run_cfg = workspace
+    ckpt = str(tmp_path / "init.ckpt")
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=False))
+    if bad_file == "truncated_pgm":
+        culprit = tmp_path / "truncated.pgm"
+        culprit.write_bytes(b"P5\n3 2\n255\n\x00")
+        argv = ["mm2b", "--in", str(culprit), "--out", str(tmp_path / "o.pgm"), "--coords", str(tmp_path / "c.json")]
+    else:
+        culprit = tmp_path / "garbled.cfg"
+        culprit.write_bytes(b"\xffseed = 5\n")
+        argv = ["eval", "--config", str(culprit), "--checkpoint", ckpt, "--out", str(tmp_path / "e")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(culprit) in err[0]
+
+
+def test_empty_dataset_mask_is_named(tmp_path, capsys):
+    spec = DatasetSpec(count=10, size=64, seed=3)
+    data_dir = tmp_path / "data"
+    save_dataset(generate_dataset(spec), spec, str(data_dir))
+    write_pgm(data_dir / "masks" / "0003.pgm", np.zeros((64, 64), dtype=np.float32))
+    run_cfg = write_file(tmp_path / "run.cfg", "dataset_dir = data\nepochs = 1\nbatch_size = 4\nfeat_channels = 8\n")
+    ckpt = str(tmp_path / "init.ckpt")
+    save_untrained(ckpt, init_params(0, net_config(RunConfig(feat_channels=8)), include_refine=False))
+    capsys.readouterr()
+    assert main(["train-weak", "--config", run_cfg, "--out", str(tmp_path / "run")]) == EXIT_DATA
+    assert "sample 3 (masks/0003.pgm)" in capsys.readouterr().err
+    assert main(["eval", "--config", run_cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "e")]) == EXIT_DATA
+    assert "sample 3 (masks/0003.pgm)" in capsys.readouterr().err
+
+
 def test_train_weak_then_eval_and_infer(workspace, tmp_path, capsys):
     root, data_dir, run_cfg = workspace
     out_dir = str(tmp_path / "run")

@@ -1,4 +1,5 @@
-"""Every imported name in the package and the scripts is used.
+"""Every imported name in the package and the scripts is used, and the
+package imports nothing but numpy and the standard library at run time.
 
 Package `__init__.py` files re-export on purpose and are skipped, as is an
 import whose statement carries `# noqa: F401` (a name kept for a caller
@@ -6,7 +7,10 @@ outside the module, such as the benchmark's hooks in `pipeline`).
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +44,17 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}.{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_loads_scipy():
+    # a fresh interpreter, so nothing the test session imported counts
+    code = (
+        "import importlib, pkgutil, sys, weakbox_kit\n"
+        "for m in pkgutil.iter_modules(weakbox_kit.__path__):\n"
+        "    importlib.import_module('weakbox_kit.' + m.name)\n"
+        "print(len(list(pkgutil.iter_modules(weakbox_kit.__path__))), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split(maxsplit=1)
+    assert int(out[0]) == len(list(ROOT.glob("src/weakbox_kit/*.py"))) - 1
+    assert out[1].strip() == "[]"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakbox_kit.boxes import EmptyMaskError
-from weakbox_kit.metrics import ConfusionCounts, acc_sen_spe, confusion_counts, dsc_miou, hd95
+from weakbox_kit.metrics import ConfusionCounts, acc_sen_spe, confusion_counts, dsc_miou, hd95, nearest_distances
 
 
 def confusion_oracle(pred, gt, threshold=0.5):
@@ -163,8 +163,7 @@ def test_hd95_equals_all_pairs_oracle_exactly():
     far = np.zeros_like(outer)
     far[13:16, 0:2] = 1.0
     pairs += [(single, single), (single, np.roll(single, 3, axis=1)), (outer, inner), (inner, far), (outer, far)]
-    # masks on the border and in the corners, and far-apart blobs in a large
-    # grid, where hd95 crops the most
+    # masks on the border and in the corners, and far-apart blobs in a large grid
     corner = np.zeros((40, 40), dtype=np.float32)
     corner[0, 0] = 1.0
     opposite = np.zeros_like(corner)
@@ -182,6 +181,50 @@ def test_hd95_equals_all_pairs_oracle_exactly():
     for pred, gt in pairs:
         if pred.any() and gt.any():
             assert hd95(pred, gt) == hd95_oracle(pred, gt)
+
+
+def test_nearest_distances_equal_distance_transform_edt_exactly():
+    from scipy.ndimage import distance_transform_edt
+
+    rng = np.random.default_rng(12)
+    pairs = []
+    for k in range(600):
+        h, w = (int(v) for v in rng.integers(1, 48, 2))
+        a = rng.uniform(0, 1, (h, w)) < rng.uniform(0.01, 0.6)
+        b = rng.uniform(0, 1, (h, w)) < rng.uniform(0.01, 0.6)
+        if k % 3 == 0:
+            b &= ~a  # disjoint sets
+        pairs.append((a, b))
+    one = np.zeros((9, 11), dtype=bool)
+    one[4, 6] = True
+    other = np.zeros_like(one)
+    other[0, 10] = True
+    left = np.zeros((20, 30), dtype=bool)
+    left[2:18, 0:3] = True
+    right = np.zeros_like(left)
+    right[5:9, 27:] = True
+    pairs += [(one, one), (one, other), (other, one), (left, right), (right, left)]
+    checked = 0
+    for a, b in pairs:
+        if a.any() and b.any():
+            got = nearest_distances(a, b)
+            assert got.tobytes() == distance_transform_edt(~b)[a].tobytes()
+            checked += 1
+    assert checked > 500
+    with pytest.raises(EmptyMaskError):
+        nearest_distances(one, np.zeros_like(one))
+
+
+def test_nearest_distances_block_boundaries():
+    # more source pixels than one block holds against the target rows
+    a = np.ones((300, 300), dtype=bool)
+    b = np.zeros_like(a)
+    b[::7, 5] = True
+    b[150, 290] = True
+    r, c = np.nonzero(a)
+    rows, cols = np.nonzero(b)
+    want = np.sqrt(((r[:, None] - rows) ** 2 + (c[:, None] - cols) ** 2).min(axis=1))
+    assert np.array_equal(nearest_distances(a, b), want)
 
 
 def test_hd95_symmetry_and_translation():

@@ -10,6 +10,7 @@ from weakbox_kit.synth import (
     generate_dataset,
     load_dataset,
     make_sample,
+    mean_filter,
     render_image,
     rng_from_key,
     save_dataset,
@@ -149,3 +150,17 @@ def test_multi_object_separation():
         pts_b = np.argwhere(labels == 2)
         d, _ = cKDTree(pts_b).query(pts_a, k=1)
         assert d.min() >= 2.0
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_mean_filter_equals_uniform_filter_bit_for_bit(size):
+    from scipy.ndimage import uniform_filter
+
+    rng = np.random.default_rng(size)
+    grids = [rng.uniform(-1.0, 1.0, tuple(int(v) for v in rng.integers(1, 70, 2))) for _ in range(300)]
+    grids += [(rng.uniform(0, 1, (64, 64)) < 0.3).astype(np.float32), np.full((1, 1), 0.7), np.zeros((2, 9)), rng.uniform(-1e6, 1e6, (17, 5))]
+    for x in grids:
+        want = uniform_filter(np.asarray(x, dtype=np.float64), size=size, mode="nearest")
+        got = mean_filter(x, size)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert want.tobytes() == np.ascontiguousarray(got).tobytes(), x.shape
