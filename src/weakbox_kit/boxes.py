@@ -8,9 +8,9 @@ separated objects). The gap rectangle is a constant geometric construction.
 
 `project` and the back-projections act on the last two axes, so they take a
 single (H, W) mask or an (N, H, W) stack, and are differentiable when given
-a Tensor. `batch_mask_to_box` is the one Tensor box transform: it transforms
-a whole stack in one pass, deciding each sample's branch in numpy first.
-`mask_to_box` transforms one numpy mask.
+a Tensor. `batch_mask_to_box` is the one box transform: it transforms a
+whole stack in one pass, deciding each sample's branch in numpy first.
+`mask_to_box` runs it on one numpy mask.
 """
 
 import enum
@@ -146,48 +146,36 @@ def min_gap_box(mask: MaskLike, centroid) -> np.ndarray:
     return out
 
 
-def decide_branch(mask: MaskLike):
-    """The branch policy for one mask: its CenterStatus and the gap rectangle
-    to cut from the cross-band union, or None on the foreground path. Raises
-    EmptyMaskError when no pixel reaches the threshold."""
-    status = center_status(mask)
-    if status.status is Center.FOREGROUND:
-        return status, None
-    return status, min_gap_box(mask, status.centroid)
-
-
 def mask_to_box(mask: np.ndarray):
-    """Turn a (soft) numpy mask into its box supervision mask.
-
-    Foreground-centered masks take the min-backprojection path; background-
-    centered ones (multiple separated objects) take the cross-band union minus
-    the centered gap rectangle, clamped to [0, 1]. Returns (box, CenterStatus).
-    """
+    """Turn one (soft) numpy mask into its box supervision mask: the
+    one-plane `batch_mask_to_box`, with no tape. Returns (box, CenterStatus);
+    raises EmptyMaskError when no pixel reaches the threshold."""
     mask = np.asarray(mask)
-    status, gap = decide_branch(mask)
-    proj = project(mask)
-    box = backproject_min(proj) if gap is None else np.clip(backproject_max(proj) - gap, 0.0, 1.0)
-    return box, status
+    status = center_status(mask)
+    with T.no_grad():
+        box, _ = batch_mask_to_box(T.Tensor(mask[None]))
+    return box.data[0].copy(), status
 
 
 def decide_branches(masks: np.ndarray):
-    """`decide_branch` for each sample of an (N, H, W) stack, in numpy.
+    """The branch policy for each sample of an (N, H, W) stack, in numpy.
 
-    Returns a boolean (N,) foreground mark and the (N, H, W) gap rectangles,
-    zero except on background-centered samples. A sample with no pixel at the
-    threshold has no centroid; it takes the foreground path.
+    Returns a boolean (N,) foreground mark and the (N, H, W) gap rectangles to
+    cut from the cross-band union, zero except on background-centered samples.
+    A sample with no pixel at the threshold has no centroid; it takes the
+    foreground path.
     """
     masks = np.asarray(masks)
     foreground = np.ones(len(masks), dtype=bool)
     gaps = np.zeros_like(masks)
     for i, mask in enumerate(masks):
         try:
-            _, gap = decide_branch(mask)
+            status = center_status(mask)
         except EmptyMaskError:
             continue
-        if gap is not None:
+        if status.status is Center.BACKGROUND:
             foreground[i] = False
-            gaps[i] = gap
+            gaps[i] = min_gap_box(mask, status.centroid)
     return foreground, gaps
 
 

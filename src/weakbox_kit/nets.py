@@ -16,6 +16,7 @@ from .synth import rng_from_key
 
 
 IN_CHANNELS = 1
+FEAT_CHANNELS = 16  # encoder and CNN-block output width; their first stages are half as wide
 HEAD_CHANNELS = 16
 REFINE_CHANNELS = (8, 16, 32)
 FEATURE_STRIDE = 4  # input pixels per feature pixel: the encoder's two stride-2 stages
@@ -25,7 +26,6 @@ FEATURE_STRIDE = 4  # input pixels per feature pixel: the encoder's two stride-2
 class NetConfig:
     """The network's shape; `pipeline.net_config` builds it from a RunConfig."""
 
-    feat_channels: int
     scale_pair: tuple
     use_cnn_gate: bool
 
@@ -88,7 +88,7 @@ def _add_bn(params, name, channels):
 def init_params(seed: int, cfg: NetConfig, include_refine: bool) -> ParamStore:
     """Build the full parameter store. The global encoder is frozen."""
     params = init_refiner(seed) if include_refine else ParamStore()
-    cin, feat = IN_CHANNELS, cfg.feat_channels
+    cin, feat = IN_CHANNELS, FEAT_CHANNELS
     mid = feat // 2
 
     rng = rng_from_key(seed, "encoder")
@@ -305,9 +305,8 @@ def two_scale_forward(params, images, prompt_for, training, cfg: NetConfig):
 
 @dataclass
 class RefineOut:
-    coarse: T.Tensor  # logit map, passed through
     residual: T.Tensor
-    refined: T.Tensor  # coarse + residual, exactly
+    refined: T.Tensor  # the coarse logits + residual, exactly
 
 
 def detail_refine_forward(params, coarse_logits, image, training):
@@ -329,4 +328,4 @@ def detail_refine_forward(params, coarse_logits, image, training):
     d1 = _res_block(params, "refine.dec1", T.concat([u1, e1], axis=1), training)
     residual = _conv(params, "refine.out", d1)
     refined = T.add(coarse_logits, residual)
-    return RefineOut(coarse=coarse_logits, residual=residual, refined=refined)
+    return RefineOut(residual=residual, refined=refined)

@@ -8,11 +8,11 @@ class AdamW:
 
     kind = "adamw"  # the optimizer tag a training checkpoint carries
     b1, b2, eps = 0.9, 0.999, 1e-8
+    weight_decay = 0.01
 
-    def __init__(self, params, lr, weight_decay):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.m = {n: np.zeros_like(t.data) for n, t in params.trainable()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.trainable()}
@@ -51,8 +51,8 @@ class AdamW:
         self.v = {n: np.asarray(a, dtype=np.float32).copy() for n, a in state["v"].items()}
 
 
-def make_optimizer(params, lr, weight_decay):
+def make_optimizer(params, lr):
     """The training optimizer: AdamW with decoupled weight decay. Both phases
     build it through this name in `pipeline`, which perfbench wraps to time
     each step."""
-    return AdamW(params, lr=lr, weight_decay=weight_decay)
+    return AdamW(params, lr)

@@ -37,7 +37,7 @@ class NumericError(RuntimeError):
 
 
 def net_config(cfg: RunConfig) -> NetConfig:
-    return NetConfig(feat_channels=cfg.feat_channels, scale_pair=(cfg.scale1, cfg.scale2), use_cnn_gate=cfg.use_cnn_gate)
+    return NetConfig(scale_pair=(cfg.scale1, cfg.scale2), use_cnn_gate=cfg.use_cnn_gate)
 
 
 def split_dataset(samples, holdout_fraction):
@@ -122,9 +122,7 @@ def _check_scale1(shape, scale1):
 
 def _augmented(sample, cfg, stream, epoch, idx):
     """A training sample's (image, mask), with the keyed flip/rotate draw of
-    its epoch when augmentation is on."""
-    if not cfg.augment:
-        return sample.image, sample.gt_mask
+    its epoch."""
     return augment_pair(sample.image, sample.gt_mask, rng_from_key(cfg.seed, stream, epoch, int(idx)))
 
 
@@ -207,7 +205,7 @@ def train_weak(cfg: RunConfig) -> TrainResult:
         if ck.epoch > cfg.epochs:
             raise ValueError(f"checkpoint_in is at epoch {ck.epoch}, past epochs = {cfg.epochs}; a resume cannot train fewer epochs than its checkpoint holds")
     params = _model_params(ck.build_params() if ck else init_params(cfg.seed, net_config(cfg), include_refine=False), cfg)
-    optimizer = make_optimizer(params, cfg.learning_rate, cfg.weight_decay)
+    optimizer = make_optimizer(params, cfg.learning_rate)
     if ck is not None:
         if ck.optimizer_kind not in ("none", optimizer.kind):
             raise ValueError(f"checkpoint_in holds {ck.optimizer_kind!r} optimizer state; a resume needs {optimizer.kind!r} or 'none'")
@@ -252,7 +250,7 @@ def train_refine(cfg: RunConfig) -> TrainResult:
     train_samples = _train_split(cfg, "refine")
     labeled = refine_subset_indices(len(train_samples), cfg.refine_label_fraction, cfg.seed)
     params = init_refiner(cfg.seed)
-    optimizer = make_optimizer(params, cfg.learning_rate, cfg.weight_decay)
+    optimizer = make_optimizer(params, cfg.learning_rate)
 
     def batch_loss(picks, epoch):
         images, coarse, gts = [], [], []

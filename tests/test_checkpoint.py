@@ -27,7 +27,7 @@ def small_store():
 
 def test_save_load_roundtrip(tmp_path):
     store = small_store()
-    opt = AdamW(store, lr=1e-3, weight_decay=0.01)
+    opt = AdamW(store, 1e-3)
     # one fake step so optimizer state is non-trivial
     for _, t in store.trainable():
         t.grad = np.ones_like(t.data)
@@ -87,7 +87,7 @@ def trained_blob(tmp_path):
     """The bytes of small_store's checkpoint after one AdamW step, so both
     optimizer slot tables are filled."""
     store = small_store()
-    opt = AdamW(store, lr=1e-3, weight_decay=0.01)
+    opt = AdamW(store, 1e-3)
     for _, t in store.trainable():
         t.grad = np.ones_like(t.data)
     opt.step()

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from weakbox_kit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from weakbox_kit.config import RunConfig
 from weakbox_kit.nets import init_params
-from weakbox_kit.pipeline import net_config
 from weakbox_kit.pgm import read_pgm, write_pgm
 from weakbox_kit.synth import DatasetSpec, generate_dataset, save_dataset
 
@@ -95,9 +93,9 @@ def test_empty_dataset_mask_is_named(tmp_path, capsys):
     data_dir = tmp_path / "data"
     save_dataset(generate_dataset(spec), spec, str(data_dir))
     write_pgm(data_dir / "masks" / "0003.pgm", np.zeros((64, 64), dtype=np.float32))
-    run_cfg = write_file(tmp_path / "run.cfg", "dataset_dir = data\nepochs = 1\nbatch_size = 4\nfeat_channels = 8\n")
+    run_cfg = write_file(tmp_path / "run.cfg", "dataset_dir = data\nepochs = 1\nbatch_size = 4\n")
     ckpt = str(tmp_path / "init.ckpt")
-    save_untrained(ckpt, init_params(0, net_config(RunConfig(feat_channels=8)), include_refine=False))
+    save_untrained(ckpt, init_params(0, NCFG, include_refine=False))
     capsys.readouterr()
     assert main(["train-weak", "--config", run_cfg, "--out", str(tmp_path / "run")]) == EXIT_DATA
     assert "sample 3 (masks/0003.pgm)" in capsys.readouterr().err
@@ -277,6 +275,7 @@ def test_unreadable_path_is_data_error(workspace, tmp_path, capsys, path_kind):
 
 
 @pytest.mark.parametrize("command", ["train-weak", "eval", "infer"])
+# lambda2 and smooth_eps are constants, not keys: a config that sets one fails as an unknown key
 @pytest.mark.parametrize("key, value", [("beta", "-1"), ("lambda2", "-0.1"), ("smooth_eps", "0")])
 def test_bad_loss_weight_fails_at_config_load(workspace, tmp_path, capsys, command, key, value):
     root, data_dir, _ = workspace
@@ -318,10 +317,12 @@ def test_infer_rejects_non_square_image(tmp_path, capsys):
 
 
 def test_checkpoint_config_mismatch_is_data_error(workspace, tmp_path, capsys):
-    # a feat_channels = 8 checkpoint under the default config (16)
+    # a checkpoint with one batch-norm statistic narrower than the config's
     _, data_dir, run_cfg = workspace
     ckpt = str(tmp_path / "narrow.ckpt")
-    save_untrained(ckpt, init_params(0, net_config(RunConfig(feat_channels=8)), include_refine=False))
+    narrow = init_params(0, NCFG, include_refine=False)
+    narrow.add_stat("cnn.stage1.bn.running_mean", np.zeros(4, dtype=np.float32))
+    save_untrained(ckpt, narrow)
     image = os.path.join(data_dir, "images", "0000.pgm")
     out_dir = tmp_path / "infer"
     assert main(["infer", "--config", run_cfg, "--checkpoint", ckpt, "--images", image, "--out", str(out_dir)]) == EXIT_DATA
@@ -337,6 +338,7 @@ def test_config_unknown_key_is_data_error(workspace, tmp_path):
     assert main(["train-weak", "--config", bad]) == EXIT_DATA
 
 
+# AdamW is the one optimizer and its weight decay a constant: neither is a config key
 @pytest.mark.parametrize("line, key", [("optimizer = adamw", "optimizer"), ("optimizer = sgd", "optimizer"), ("weight_decay = -1", "weight_decay")])
 def test_train_weak_bad_optimizer_setting_is_data_error(workspace, tmp_path, capsys, line, key):
     _, data_dir, _ = workspace

@@ -62,9 +62,9 @@ def test_overrides_applied(tmp_path):
 
 
 def test_bool_parsing(tmp_path):
-    path = write_cfg(tmp_path, "use_sc = false\nuse_cnn_gate = TRUE\naugment = 0\n")
+    path = write_cfg(tmp_path, "use_sc = false\nuse_cnn_gate = TRUE\n")
     cfg = load_run_config(path, {})
-    assert cfg.use_sc is False and cfg.use_cnn_gate is True and cfg.augment is False
+    assert cfg.use_sc is False and cfg.use_cnn_gate is True
 
 
 def test_bad_bool_rejected(tmp_path):
@@ -84,7 +84,7 @@ def test_bad_bool_rejected(tmp_path):
         "refine_label_fraction = 0",
         "holdout_fraction = 1.0",
         "supervision = scribbles",
-        "feat_channels = 7",
+        "feat_channels = 7",  # a constant, so an unknown key
     ],
 )
 def test_validation_rejects(tmp_path, line):
@@ -93,7 +93,7 @@ def test_validation_rejects(tmp_path, line):
         load_run_config(path, {})
 
 
-@pytest.mark.parametrize("key", ["learning_rate", "beta", "smooth_eps", "weight_decay"])
+@pytest.mark.parametrize("key", ["learning_rate", "beta", "gamma", "holdout_fraction"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_values_rejected(tmp_path, key, raw):
     path = write_cfg(tmp_path, f"{key} = {raw}\n")
@@ -118,9 +118,10 @@ def test_optimizer_key_rejected(tmp_path, value):
         load_run_config(path, {})
 
 
-def test_negative_weight_decay_rejected(tmp_path):
-    with pytest.raises(ValueError, match="weight_decay must be >= 0, got -1.0"):
-        RunConfig(weight_decay=-1.0).validate()
-    with pytest.raises(ValueError, match="weight_decay must be >= 0"):
-        load_run_config(write_cfg(tmp_path, "weight_decay = -0.5\n"), {})
-    assert load_run_config(write_cfg(tmp_path, "weight_decay = 0\n"), {}).weight_decay == 0.0
+@pytest.mark.parametrize("key", ["weight_decay", "feat_channels", "augment", "lambda1", "lambda2", "smooth_eps", "clamp_eps"])
+def test_removed_keys_rejected(tmp_path, key):
+    # every run uses one value for these, so they are constants and not keys
+    with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+        load_run_config(write_cfg(tmp_path, f"{key} = 1\n"), {})
+    with pytest.raises(TypeError, match=key):
+        RunConfig(**{key: 1})

@@ -4,11 +4,16 @@ Run values live in `RunConfig` and conv geometry in `nets._conv`; a function
 that is always called with an argument takes no default for it. The
 defaulted parameters of every `def` in the package are exactly the ones
 below, each omitted by some caller, and `NetConfig` is always built from a
-RunConfig (`pipeline.net_config`), so it has no field defaults.
+RunConfig (`pipeline.net_config`), so it has no field defaults. `RunConfig`'s
+fields are the keys a run varies; the values every run shares are constants.
 """
 
 import ast
+import dataclasses
 import pathlib
+import typing
+
+from weakbox_kit.config import RunConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.glob("src/weakbox_kit/*.py"))
@@ -66,5 +71,31 @@ def test_net_config_has_no_field_defaults():
     tree = ast.parse((ROOT / "src/weakbox_kit/nets.py").read_text())
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "NetConfig"]
     fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
-    assert [f.target.id for f in fields] == ["feat_channels", "scale_pair", "use_cnn_gate"]
+    assert [f.target.id for f in fields] == ["scale_pair", "use_cnn_gate"]
     assert all(f.value is None for f in fields)
+
+
+def test_run_config_keys_are_what_a_run_varies():
+    # a value every run shares is a constant, not a config key
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "phase",
+        "epochs",
+        "batch_size",
+        "learning_rate",
+        "scale1",
+        "scale2",
+        "beta",
+        "gamma",
+        "dataset_dir",
+        "checkpoint_in",
+        "checkpoint_out",
+        "refine_checkpoint",
+        "seed",
+        "refine_label_fraction",
+        "holdout_fraction",
+        "use_sc",
+        "use_cnn_gate",
+        "supervision",
+    ]
+    constants = [name for name, hint in RunConfig.__annotations__.items() if typing.get_origin(hint) is typing.ClassVar]
+    assert constants == ["lambda1", "lambda2", "smooth_eps", "clamp_eps"]

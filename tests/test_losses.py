@@ -193,7 +193,10 @@ def test_detail_refine_weighted_mix():
 
 
 def test_detail_refine_lambda1_zero():
-    cfg = RunConfig(lambda1=0.0, lambda2=0.2)
+    class NoDice(RunConfig):
+        lambda1 = 0.0
+
+    cfg = NoDice()
     rng = np.random.default_rng(7)
     pred = rng.uniform(0.05, 0.95, (5, 5)).astype(np.float32)
     target = (rng.uniform(0, 1, (5, 5)) > 0.5).astype(np.float32)
@@ -202,11 +205,12 @@ def test_detail_refine_lambda1_zero():
 
 
 def test_loss_config_validation():
-    RunConfig(beta=0.0, gamma=0.0, lambda1=0.0, lambda2=0.0, smooth_eps=1e-9, clamp_eps=1e-9).validate()
-    bad = [("beta", -1.0), ("gamma", -0.5), ("lambda1", -0.1), ("lambda2", -0.1), ("smooth_eps", 0.0), ("clamp_eps", -1e-7)]
-    for key, value in bad:
+    RunConfig(beta=0.0, gamma=0.0).validate()
+    for key, value in [("beta", -1.0), ("gamma", -0.5)]:
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: value}).validate()
+    # the refine weights and the epsilons are constants, not settable fields
+    assert (RunConfig.lambda1, RunConfig.lambda2, RunConfig.smooth_eps, RunConfig.clamp_eps) == (0.8, 0.2, 1.0, 1e-7)
 
 
 @given(st.integers(0, 10_000))

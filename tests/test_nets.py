@@ -110,7 +110,7 @@ def test_encoder_zero_weights_zero_features():
 def test_frozen_params_survive_optimizer_steps():
     p = init_params(9, NCFG, True)
     before = {n: t.data.copy() for n, t in p.tensors.items() if not t.requires_grad}
-    opt = AdamW(p, lr=0.05, weight_decay=0.01)
+    opt = AdamW(p, 0.05)
     x = _image(7, batch=1)
     for _ in range(3):
         out = cnn_block_forward(p, x, training=True)
@@ -208,7 +208,7 @@ def test_refine_residual_decomposition_exact():
     img = _image(18)
     coarse = T.Tensor(np.random.default_rng(19).normal(0, 1, (2, 1, 64, 64)).astype(np.float32))
     out = detail_refine_forward(p, coarse, img, training=True)
-    assert np.array_equal(out.refined.data, out.coarse.data + out.residual.data)
+    assert np.array_equal(out.refined.data, coarse.data + out.residual.data)
     assert np.abs(out.residual.data).max() > 0.0
 
 

@@ -13,10 +13,10 @@ from weakbox_kit.boxes import (
     backproject_min,
     box_coords,
     center_status,
-    decide_branch,
     decide_branches,
     gt_box_mask,
     mask_to_box,
+    min_gap_box,
     project,
 )
 from weakbox_kit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -156,7 +156,10 @@ def test_train_weak_rejects_resume_past_epochs(tiny_dataset_dir, tmp_path):
 def test_train_weak_resume_checks_config(tiny_dataset_dir, tmp_path):
     cfg = cfg_for(tiny_dataset_dir, tmp_path, epochs=1)
     cfg.checkpoint_in = os.path.join(str(tmp_path), "wide.ckpt")
-    save_untrained(cfg.checkpoint_in, init_params(0, net_config(RunConfig(feat_channels=cfg.feat_channels + 2)), include_refine=False))
+    # a checkpoint that lacks one tensor of the config's skeleton
+    saved = init_params(0, net_config(cfg), include_refine=False)
+    del saved.tensors["head.out.b"]
+    save_untrained(cfg.checkpoint_in, saved)
     with pytest.raises(CheckpointError, match="does not match the config"):
         train_weak(cfg)
 
@@ -246,7 +249,6 @@ def test_train_refine_single_batch_overfit(tiny_dataset_dir):
         learning_rate=2e-3,
         refine_label_fraction=0.2,
         holdout_fraction=0.0,
-        augment=False,
     )
     result = train_refine(cfg)
     assert result.epoch_losses[-1] < 0.1 * result.epoch_losses[0]
@@ -619,11 +621,12 @@ def tensor_mask_to_box(plane):
     """The single-plane Tensor mask-to-box transform that `batch_mask_to_box`
     replaced: one branch per (H, W) plane, differentiable through the
     projections. Returns (box, CenterStatus)."""
-    status, gap = decide_branch(plane)
+    status = center_status(plane)
     proj = project(plane)
-    if gap is None:
+    if status.status is Center.FOREGROUND:
         return backproject_min(proj), status
     band = backproject_max(proj)
+    gap = min_gap_box(plane, status.centroid)
     return T.clamp(T.sub(band, T.Tensor(gap, dtype=band.data.dtype)), 0.0, 1.0), status
 
 
